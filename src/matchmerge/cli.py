@@ -31,7 +31,7 @@ from .order import (
     order_characterization,
     order_law_audit,
 )
-from .properties import Property, implication_audit, property_report
+from .properties import ICAR, Property, check_property, implication_audit, property_report
 from .quotient import class_semigroup_check, quotient, quotient_idempotence_check
 from .resolution import (
     BRUTEFORCE_CARRIER_GUARD,
@@ -241,10 +241,13 @@ def _cmd_er(args) -> int:
     method = args.method
     note = ""
     if method == "auto":
-        report = property_report(closure.groupoid)
-        if report.is_icar:
+        g = closure.groupoid
+        if all(check_property(g, p).holds for p in ICAR):
             method, note = "rswoosh", "ICAR verified"
-        elif report.holds(Property.IDEMPOTENT) and report.holds(Property.CATENARY_ASSOCIATIVE):
+        elif all(
+            check_property(g, p).holds
+            for p in (Property.IDEMPOTENT, Property.CATENARY_ASSOCIATIVE)
+        ):
             method, note = "maximal", "I and CA verified"
         elif len(closure.carrier) <= BRUTEFORCE_CARRIER_GUARD:
             method, note = "bruteforce", f"carrier <= {BRUTEFORCE_CARRIER_GUARD}"
@@ -370,8 +373,7 @@ def _cmd_quotient(args) -> int:
         f"word bound: {q.classes.word_bound}",
         f"classes ({len(q.classes.classes)}):",
     ]
-    for cls, rep in zip(q.classes.classes, q.classes.representatives):
-        check = class_semigroup_check(g, cls, args.nr_bound)
+    for cls, rep, check in zip(q.classes.classes, q.classes.representatives, class_checks):
         lines.append(
             "  [" + ", ".join(cls) + f"] -> {rep} (semigroup: {_yesno(check.holds)})"
         )
@@ -399,13 +401,14 @@ def _order_section(g, variant: OrderVariant):
         + f" transitive={_yesno(audit.transitive.holds)}"
         + ("" if audit.transitive.holds else f" {_fmt_witness(audit.transitive.witness)}")
     )
-    lines.append("  maximal: [" + ", ".join(maximal_elements(g, variant)) + "]")
+    maximal = maximal_elements(g, variant)
+    lines.append("  maximal: [" + ", ".join(maximal) + "]")
     payload = {
         "pairs": [[p, q] for p, q in rel.sorted_pairs()],
         "reflexive": audit.reflexive.holds,
         "antisymmetric": audit.antisymmetric.holds,
         "transitive": audit.transitive.holds,
-        "maximal": list(maximal_elements(g, variant)),
+        "maximal": list(maximal),
     }
     return lines, payload
 

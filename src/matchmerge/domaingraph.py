@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DomainNotSymmetricError, InternalInvariantError
 from .groupoid import ElementId, FiniteGroupoid, Pair
+from .properties import Property, check_property
 
 
 @dataclass(frozen=True)
@@ -118,12 +119,13 @@ def is_total(g: FiniteGroupoid) -> TotalityReport:
     Cross-checks the graph criterion: with a symmetric domain, totality is
     the same as the symmetric view being complete with a loop on every node.
     """
-    for x, y in g.pairs():
-        if ((x, y) in g.table) != ((y, x) in g.table):
-            raise DomainNotSymmetricError(
-                f"domain is not symmetric: ({x!r}, {y!r}) vs ({y!r}, {x!r})",
-                witness=(x, y),
-            )
+    symmetric = check_property(g, Property.SYMMETRIC)
+    if not symmetric.holds:
+        x, y = symmetric.witness
+        raise DomainNotSymmetricError(
+            f"domain is not symmetric: ({x!r}, {y!r}) vs ({y!r}, {x!r})",
+            witness=(x, y),
+        )
     missing = None
     for x, y in g.pairs():
         if (x, y) not in g.table:

@@ -53,6 +53,11 @@ class FiniteGroupoid:
     _position: Mapping[ElementId, int] = field(
         init=False, repr=False, compare=False, default=None
     )
+    # Property verdicts stored by ``properties.check_property``.  Valid only
+    # because ``table`` is never changed after construction.
+    _verdicts: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         elements = tuple(self.elements)
@@ -185,6 +190,13 @@ class ClosureResult:
     ``"budget_exhausted"`` with the partial carrier otherwise.  ``groupoid``
     is the restriction of the host to the carrier; ``objects`` maps ids back
     to black-box values when the host was a black-box groupoid.
+
+    A black-box host's table is the one the closure recorded as it composed,
+    each ordered pair at most once.  When closed, that is every pair of the
+    carrier, so the table is the full restriction.  On budget exhaustion it
+    holds the compositions evaluated before the stop whose value lies in the
+    partial carrier; pairs never composed, and the composition that broke
+    the budget, are absent.
     """
 
     status: str
@@ -204,20 +216,24 @@ def _close_under_composition(compose, key, seeds, budget):
 
     Seeds are deduplicated by key and sorted; each round composes every pair
     with at least one operand discovered in the previous round (all pairs in
-    round one).  A new element that would push the carrier past
-    ``max_elements`` is dropped and the run reports exhaustion.
+    round one), so no pair is composed twice.  A new element that would push
+    the carrier past ``max_elements`` is dropped and the run reports
+    exhaustion.  Returns the status, the carrier's items by id, the rounds
+    run, and the table ``(xid, yid) -> zid`` of the compositions evaluated
+    whose value is in the carrier.
     """
     items: dict[ElementId, object] = {}
     for obj in sorted(seeds, key=key):
         items.setdefault(key(obj), obj)
+    table: dict[Pair, ElementId] = {}
     if len(items) > budget.max_elements:
-        return BUDGET_EXHAUSTED, items, 0
+        return BUDGET_EXHAUSTED, items, 0, table
 
     rounds = 0
     previous_new = list(items)
     while True:
         if rounds >= budget.max_rounds:
-            return BUDGET_EXHAUSTED, items, rounds
+            return BUDGET_EXHAUSTED, items, rounds, table
         rounds += 1
         recent = set(previous_new)
         fresh: dict[ElementId, object] = {}
@@ -231,19 +247,19 @@ def _close_under_composition(compose, key, seeds, budget):
                 if z is None:
                     continue
                 zid = key(z)
-                if zid in items or zid in fresh:
-                    continue
-                if len(items) + len(fresh) >= budget.max_elements:
-                    exhausted = True
-                    break
-                fresh[zid] = z
+                if zid not in items and zid not in fresh:
+                    if len(items) + len(fresh) >= budget.max_elements:
+                        exhausted = True
+                        break
+                    fresh[zid] = z
+                table[(xid, yid)] = zid
             if exhausted:
                 break
         if exhausted:
             items.update(fresh)
-            return BUDGET_EXHAUSTED, items, rounds
+            return BUDGET_EXHAUSTED, items, rounds, table
         if not fresh:
-            return CLOSED, items, rounds
+            return CLOSED, items, rounds, table
         items.update(fresh)
         previous_new = list(fresh)
 
@@ -264,26 +280,16 @@ def generated_subgroupoid(
         raise ValueError("seed set must be non-empty")
     if isinstance(groupoid, FiniteGroupoid):
         groupoid.require_all(seeds)
-        status, items, rounds = _close_under_composition(
+        status, items, rounds, _ = _close_under_composition(
             lambda x, y: groupoid.table.get((x, y)), lambda e: e, seeds, budget
         )
         carrier = tuple(items)
         return ClosureResult(status, carrier, groupoid.restrict(carrier), rounds, budget)
 
-    status, items, rounds = _close_under_composition(
+    status, items, rounds, table = _close_under_composition(
         groupoid.compose, groupoid.key, seeds, budget
     )
     carrier = tuple(items)
-    inside = set(carrier)
-    table = {}
-    for xid, x in items.items():
-        for yid, y in items.items():
-            z = groupoid.compose(x, y)
-            if z is None:
-                continue
-            zid = groupoid.key(z)
-            if zid in inside:
-                table[(xid, yid)] = zid
     restricted = FiniteGroupoid(carrier, table)
     return ClosureResult(status, carrier, restricted, rounds, budget, dict(items))
 

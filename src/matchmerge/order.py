@@ -32,7 +32,7 @@ from typing import Iterable
 
 from .errors import DomainNotReflexiveError, NotPartialOrderError
 from .groupoid import ElementId, FiniteGroupoid, Pair, Verdict
-from .properties import Property, check_property
+from .properties import ICAR, Property, check_property
 
 
 class OrderVariant(str, Enum):
@@ -323,14 +323,7 @@ def order_characterization(g: FiniteGroupoid, rel: OrderRelation) -> OrderCharac
         )
         if not verdict.holds
     )
-    wanted = (
-        Property.IDEMPOTENT,
-        Property.STRONGLY_COMMUTATIVE,
-        Property.ASSOCIATIVE,
-        Property.REPRESENTATIVE,
-    )
-    verdicts = {p: check_property(g, p) for p in wanted}
-    failed_properties = tuple(str(p) for p in wanted if not verdicts[p].holds)
+    failed_properties = tuple(str(p) for p in ICAR if not check_property(g, p).holds)
 
     natural = natural_order(g, OrderVariant.BOTH)
     matches = rel.pairs == natural.pairs

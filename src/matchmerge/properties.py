@@ -1,8 +1,9 @@
 """Exhaustive axiom checkers for explicit partial groupoids.
 
-Each checker scans the whole carrier (pairs, triples, or bounded words) in
-carrier order and reports the first violation as a replayable witness, so
-two runs on the same input always return the same verdict.
+Each family of laws is decided by one scan of the whole carrier (elements,
+pairs, triples, or bounded words) in carrier order, which reports the first
+violation of each law as a replayable witness, so two runs on the same input
+always return the same verdict.
 """
 
 from __future__ import annotations
@@ -47,6 +48,16 @@ class PropertyVerdict:
         return self.holds
 
 
+ICAR = (
+    Property.IDEMPOTENT,
+    Property.STRONGLY_COMMUTATIVE,
+    Property.ASSOCIATIVE,
+    Property.REPRESENTATIVE,
+)
+"""Idempotent, strongly commutative, associative, representative: the
+conjunction that licenses the efficient record-level resolver."""
+
+
 @dataclass(frozen=True)
 class PropertyReport:
     """All verdicts for one groupoid plus the derived headline flags."""
@@ -55,17 +66,7 @@ class PropertyReport:
 
     @property
     def is_icar(self) -> bool:
-        """Idempotent, strongly commutative, associative, representative:
-        the conjunction that licenses the efficient record-level resolver."""
-        return all(
-            self.verdicts[p].holds
-            for p in (
-                Property.IDEMPOTENT,
-                Property.STRONGLY_COMMUTATIVE,
-                Property.ASSOCIATIVE,
-                Property.REPRESENTATIVE,
-            )
-        )
+        return all(self.verdicts[p].holds for p in ICAR)
 
     @property
     def is_partial_semigroup_ca(self) -> bool:
@@ -75,125 +76,115 @@ class PropertyReport:
         return self.verdicts[p].holds
 
 
-def _pair_universe(g: FiniteGroupoid) -> str:
-    n = len(g)
-    return f"{n} elements, {n * n} ordered pairs"
+# Each scan decides a whole family of laws in one pass over the carrier and
+# returns the first witness of each law in carrier order (None where the law
+# holds), stopping once every law of the family has one.
 
 
-def _triple_universe(g: FiniteGroupoid) -> str:
-    n = len(g)
+def _scan_idempotence(g: FiniteGroupoid):
+    """I: every element composes with itself and yields itself."""
+    return (next(((p,) for p in g.elements if g.table.get((p, p)) != p), None),)
+
+
+def _scan_pairs(g: FiniteGroupoid):
+    """S: (x, y) defined iff (y, x) defined.  C: when both orders are
+    defined, they agree.  SC: both at once.
+
+    Each law fails at (x, y) exactly when it fails at (y, x), never at
+    (x, x), so the first witness in carrier order has x before y and the
+    scan visits only those pairs.
+    """
+    table, elements = g.table, g.elements
+    s = c = sc = None
+    for i, x in enumerate(elements):
+        for y in elements[i + 1 :]:
+            xy = table.get((x, y))
+            yx = table.get((y, x))
+            if xy != yx:
+                if xy is None or yx is None:
+                    s = s or (x, y)
+                else:
+                    c = c or (x, y)
+                sc = sc or (x, y)
+                if s and c:
+                    return s, c, sc
+    return s, c, sc
+
+
+def _scan_representativity(g: FiniteGroupoid):
+    """Rl: (p, p1) and (p1, p2) defined => (p, p1 o p2) defined.
+    Rr, its dual: (p1, p2) and (p2, p) defined => (p1 o p2, p) defined.
+    R: both; its witness is Rl's, else Rr's."""
+    table = g.table
+    left = right = None
+    for p1, p2 in g.defined_pairs():
+        c = table[(p1, p2)]
+        for p in g.elements:
+            if left is None and (p, p1) in table and (p, c) not in table:
+                left = (p1, p2, p)
+            if right is None and (p2, p) in table and (c, p) not in table:
+                right = (p1, p2, p)
+        if left and right:
+            break
+    return left, right, left or right
+
+
+def _scan_triples(g: FiniteGroupoid):
+    """With ab = p1 o p2 and bc = p2 o p3:
+    A: when both full groupings are defined, they agree.
+    CA: when ab and bc are defined, both groupings are defined and agree.
+    SA: both groupings defined and equal, or both undefined."""
+    table, elements = g.table, g.elements
+    ca = sa = None
+    for p1 in elements:
+        for p2 in elements:
+            ab = table.get((p1, p2))
+            if ab is None and sa:
+                continue  # only SA can fail here, and it already has a witness
+            for p3 in elements:
+                bc = table.get((p2, p3))
+                left = None if ab is None else table.get((ab, p3))
+                right = None if bc is None else table.get((p1, bc))
+                if left == right and (left is not None or ab is None or bc is None):
+                    continue
+                w = (p1, p2, p3)
+                if left is not None and right is not None:
+                    # both groupings defined and different: A, CA and SA all fail
+                    return w, ca or w, sa or w
+                if left != right:
+                    sa = sa or w
+                if ab is not None and bc is not None:
+                    ca = ca or w
+    return None, ca, sa
+
+
+def _triple_universe(n: int) -> str:
     return f"{n} elements, {n ** 3} triples"
 
 
-def _check_symmetric(g: FiniteGroupoid):
-    """(x, y) defined iff (y, x) defined."""
-    for x, y in g.pairs():
-        if ((x, y) in g.table) != ((y, x) in g.table):
-            return (x, y)
-    return None
+# (laws, scan returning their witnesses in that order, universe of n elements)
+_FAMILIES = (
+    ((Property.IDEMPOTENT,), _scan_idempotence, lambda n: f"{n} elements"),
+    (
+        (Property.SYMMETRIC, Property.COMMUTATIVE, Property.STRONGLY_COMMUTATIVE),
+        _scan_pairs,
+        lambda n: f"{n} elements, {n * n} ordered pairs",
+    ),
+    (
+        (Property.LEFT_REPRESENTATIVE, Property.RIGHT_REPRESENTATIVE, Property.REPRESENTATIVE),
+        _scan_representativity,
+        _triple_universe,
+    ),
+    (
+        (Property.ASSOCIATIVE, Property.CATENARY_ASSOCIATIVE, Property.STRONGLY_ASSOCIATIVE),
+        _scan_triples,
+        _triple_universe,
+    ),
+)
 
 
-def _check_idempotent(g: FiniteGroupoid):
-    """Every element composes with itself and yields itself."""
-    for p in g.elements:
-        if g.table.get((p, p)) != p:
-            return (p,)
-    return None
-
-
-def _check_commutative(g: FiniteGroupoid):
-    """When both orders are defined, they agree."""
-    for x, y in g.pairs():
-        xy = g.table.get((x, y))
-        yx = g.table.get((y, x))
-        if xy is not None and yx is not None and xy != yx:
-            return (x, y)
-    return None
-
-
-def _check_strongly_commutative(g: FiniteGroupoid):
-    """Symmetric domain, and defined compositions agree across orders."""
-    for x, y in g.pairs():
-        xy = g.table.get((x, y))
-        yx = g.table.get((y, x))
-        if (xy is None) != (yx is None):
-            return (x, y)
-        if xy is not None and xy != yx:
-            return (x, y)
-    return None
-
-
-def _check_left_representative(g: FiniteGroupoid):
-    """A composite stays composable on the left with everything its first
-    operand was composable with: (p,p1) and (p1,p2) defined => (p, p1 o p2) defined."""
-    for p1, p2 in g.defined_pairs():
-        c = g.table[(p1, p2)]
-        for p in g.elements:
-            if (p, p1) in g.table and (p, c) not in g.table:
-                return (p1, p2, p)
-    return None
-
-
-def _check_right_representative(g: FiniteGroupoid):
-    """Dual of the left form: (p1,p2) and (p2,p) defined => (p1 o p2, p) defined."""
-    for p1, p2 in g.defined_pairs():
-        c = g.table[(p1, p2)]
-        for p in g.elements:
-            if (p2, p) in g.table and (c, p) not in g.table:
-                return (p1, p2, p)
-    return None
-
-
-def _check_representative(g: FiniteGroupoid):
-    return _check_left_representative(g) or _check_right_representative(g)
-
-
-def _check_associative(g: FiniteGroupoid):
-    """Whenever both full groupings of a triple are defined, they agree."""
-    for p1, p2, p3 in g.triples():
-        ab = g.table.get((p1, p2))
-        bc = g.table.get((p2, p3))
-        if ab is None or bc is None:
-            continue
-        left = g.table.get((ab, p3))
-        right = g.table.get((p1, bc))
-        if left is None or right is None:
-            continue
-        if left != right:
-            return (p1, p2, p3)
-    return None
-
-
-def _check_catenary_associative(g: FiniteGroupoid):
-    """If p1 o p2 and p2 o p3 exist, both groupings exist and agree."""
-    for p1, p2, p3 in g.triples():
-        ab = g.table.get((p1, p2))
-        bc = g.table.get((p2, p3))
-        if ab is None or bc is None:
-            continue
-        left = g.table.get((ab, p3))
-        right = g.table.get((p1, bc))
-        if left is None or right is None or left != right:
-            return (p1, p2, p3)
-    return None
-
-
-def _check_strongly_associative(g: FiniteGroupoid):
-    """Both groupings defined with equal values, or both undefined."""
-    for p1, p2, p3 in g.triples():
-        ab = g.table.get((p1, p2))
-        left = None if ab is None else g.table.get((ab, p3))
-        bc = g.table.get((p2, p3))
-        right = None if bc is None else g.table.get((p1, bc))
-        if (left is None) != (right is None):
-            return (p1, p2, p3)
-        if left is not None and left != right:
-            return (p1, p2, p3)
-    return None
-
-
-def _check_word_idempotent(g: FiniteGroupoid, bound: int):
-    """Doubling a word does not change its (non-empty) product set.
+def _word_idempotence_witness(g: FiniteGroupoid, bound: int):
+    """NR: doubling a word does not change its (non-empty) product set.
 
     A word w violates the law when product(w) is non-empty but
     product(w ++ w) differs from it.  This is an infinite scheme; a pass is
@@ -216,40 +207,36 @@ def _check_word_idempotent(g: FiniteGroupoid, bound: int):
 def check_property(
     g: FiniteGroupoid, prop: Property, nr_word_bound: int = DEFAULT_WORD_BOUND
 ) -> PropertyVerdict:
-    """Exhaustively audit one axiom; deterministic first witness on failure."""
+    """Exhaustively audit one axiom; deterministic first witness on failure.
+
+    The laws are decided by family, one scan each: I over elements; S, C
+    and SC over pairs; Rl, Rr and R over defined pairs and a third element;
+    A, CA and SA over triples; NR over words up to ``nr_word_bound``, per
+    bound.  The first request for any law of a family runs its scan and
+    stores every verdict of the family on ``g``; later requests on the same
+    object read the stored verdict.  This relies on ``g.table`` never
+    changing after construction.
+    """
     prop = Property(prop)
-    if prop is Property.SYMMETRIC:
-        witness, universe = _check_symmetric(g), _pair_universe(g)
-    elif prop is Property.IDEMPOTENT:
-        witness, universe = _check_idempotent(g), f"{len(g)} elements"
-    elif prop is Property.COMMUTATIVE:
-        witness, universe = _check_commutative(g), _pair_universe(g)
-    elif prop is Property.STRONGLY_COMMUTATIVE:
-        witness, universe = _check_strongly_commutative(g), _pair_universe(g)
-    elif prop is Property.LEFT_REPRESENTATIVE:
-        witness, universe = _check_left_representative(g), _triple_universe(g)
-    elif prop is Property.RIGHT_REPRESENTATIVE:
-        witness, universe = _check_right_representative(g), _triple_universe(g)
-    elif prop is Property.REPRESENTATIVE:
-        witness, universe = _check_representative(g), _triple_universe(g)
-    elif prop is Property.ASSOCIATIVE:
-        witness, universe = _check_associative(g), _triple_universe(g)
-    elif prop is Property.CATENARY_ASSOCIATIVE:
-        witness, universe = _check_catenary_associative(g), _triple_universe(g)
-    elif prop is Property.STRONGLY_ASSOCIATIVE:
-        witness, universe = _check_strongly_associative(g), _triple_universe(g)
-    elif prop is Property.WORD_IDEMPOTENT:
-        witness = _check_word_idempotent(g, nr_word_bound)
-        universe = f"words of length <= {nr_word_bound} over {len(g)} elements"
-    else:  # pragma: no cover - closed enumeration
-        raise ValueError(f"unknown property {prop!r}")
-    return PropertyVerdict(prop, witness is None, witness, universe)
+    memo = g._verdicts
+    if prop is Property.WORD_IDEMPOTENT:
+        key = (prop, nr_word_bound)
+        if key not in memo:
+            witness = _word_idempotence_witness(g, nr_word_bound)
+            universe = f"words of length <= {nr_word_bound} over {len(g)} elements"
+            memo[key] = PropertyVerdict(prop, witness is None, witness, universe)
+        return memo[key]
+    if prop not in memo:
+        laws, scan, universe = next(f for f in _FAMILIES if prop in f[0])
+        for p, witness in zip(laws, scan(g)):
+            memo[p] = PropertyVerdict(p, witness is None, witness, universe(len(g)))
+    return memo[prop]
 
 
 def property_report(
     g: FiniteGroupoid, nr_word_bound: int = DEFAULT_WORD_BOUND
 ) -> PropertyReport:
-    """Run every checker and aggregate the derived flags."""
+    """Every verdict, each family scanned at most once, plus the derived flags."""
     verdicts = {p: check_property(g, p, nr_word_bound) for p in Property}
     return PropertyReport(verdicts)
 

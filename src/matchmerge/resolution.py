@@ -34,7 +34,7 @@ from .groupoid import (
     generated_subgroupoid,
 )
 from .order import OrderVariant, full_elements, maximal_elements, natural_order
-from .properties import Property, check_property, property_report
+from .properties import ICAR, Property, check_property
 
 BRUTEFORCE_CARRIER_GUARD = 20
 
@@ -196,18 +196,8 @@ def r_swoosh(
     """
     inst = _as_instance(groupoid, instance)
     if isinstance(groupoid, FiniteGroupoid):
-        report = property_report(groupoid)
-        if not report.is_icar:
-            failing = [
-                report.verdicts[p]
-                for p in (
-                    Property.IDEMPOTENT,
-                    Property.STRONGLY_COMMUTATIVE,
-                    Property.ASSOCIATIVE,
-                    Property.REPRESENTATIVE,
-                )
-                if not report.verdicts[p].holds
-            ]
+        failing = [v for v in (check_property(groupoid, p) for p in ICAR) if not v.holds]
+        if failing:
             names = ", ".join(str(v.property) for v in failing)
             raise HypothesesNotSatisfiedError(
                 f"r_swoosh requires I, SC, A and R; failing: {names}", failing

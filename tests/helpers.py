@@ -82,6 +82,68 @@ def brute_force_generates(g: FiniteGroupoid, candidate) -> bool:
     return naive_merge_closure(g, candidate) == frozenset(g.elements)
 
 
+# -- first-violation oracle ----------------------------------------------------
+
+
+def first_violations(g: FiniteGroupoid) -> dict:
+    """Oracle for the ten laws other than NR: for each law (keyed by its
+    short name), the first violating tuple in carrier order, or None.
+
+    Every law is checked on its own, straight from its definition, by brute
+    force over ``itertools.product`` of the carrier.  R is Rl and Rr
+    together; its witness is Rl's when Rl fails, else Rr's.
+    """
+    el, t = g.elements, g.table
+
+    def first(arity, violated):
+        return next((w for w in cartesian(el, repeat=arity) if violated(*w)), None)
+
+    def s(x, y):
+        return ((x, y) in t) != ((y, x) in t)
+
+    def c(x, y):
+        return (x, y) in t and (y, x) in t and t[(x, y)] != t[(y, x)]
+
+    def rl(p1, p2, p):
+        return (p1, p2) in t and (p, p1) in t and (p, t[(p1, p2)]) not in t
+
+    def rr(p1, p2, p):
+        return (p1, p2) in t and (p2, p) in t and (t[(p1, p2)], p) not in t
+
+    def groupings(p1, p2, p3):
+        """(p1 p2) p3 and p1 (p2 p3), each None when undefined."""
+        left = t.get((t[(p1, p2)], p3)) if (p1, p2) in t else None
+        right = t.get((p1, t[(p2, p3)])) if (p2, p3) in t else None
+        return left, right
+
+    def a(*w):
+        left, right = groupings(*w)
+        return left is not None and right is not None and left != right
+
+    def ca(p1, p2, p3):
+        left, right = groupings(p1, p2, p3)
+        catenary = (p1, p2) in t and (p2, p3) in t
+        return catenary and (left is None or right is None or left != right)
+
+    def sa(*w):
+        left, right = groupings(*w)
+        return (left is None) != (right is None) or (left is not None and left != right)
+
+    out = {
+        "I": next(((p,) for p in el if t.get((p, p)) != p), None),
+        "S": first(2, s),
+        "C": first(2, c),
+        "SC": first(2, lambda x, y: s(x, y) or c(x, y)),
+        "Rl": first(3, rl),
+        "Rr": first(3, rr),
+        "A": first(3, a),
+        "CA": first(3, ca),
+        "SA": first(3, sa),
+    }
+    out["R"] = out["Rl"] or out["Rr"]
+    return out
+
+
 # -- random generators ---------------------------------------------------------
 
 

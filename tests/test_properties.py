@@ -8,6 +8,7 @@ from matchmerge import (
     FiniteGroupoid,
     Homomorphism,
     Property,
+    PropertyVerdict,
     builtin,
     check_property,
     image,
@@ -17,7 +18,7 @@ from matchmerge import (
     word_product,
 )
 from conftest import chaining_records, finite_fixture_suite, materialized_records
-from helpers import random_groupoid
+from helpers import first_violations, random_groupoid
 
 P = Property
 
@@ -170,6 +171,56 @@ def test_every_failed_verdict_witness_replays():
 def test_check_property_is_deterministic(q2):
     for p in Property:
         assert check_property(q2, p) == check_property(q2, p)
+
+
+# -- first witnesses and stored verdicts ------------------------------------------
+
+
+def _universe(g, p):
+    n = len(g)
+    if p is P.IDEMPOTENT:
+        return f"{n} elements"
+    if p in (P.SYMMETRIC, P.COMMUTATIVE, P.STRONGLY_COMMUTATIVE):
+        return f"{n} elements, {n * n} ordered pairs"
+    return f"{n} elements, {n ** 3} triples"
+
+
+def _oracle_samples():
+    """Fixtures, then 2,200 seeded tables of 1 to 6 elements, alternately
+    with and without a reflexive domain, at densities 0, 0.1, ..., 1."""
+    yield from finite_fixture_suite().values()
+    rng = random.Random(2026)
+    for i in range(2200):
+        size = rng.randint(1, 6)
+        yield random_groupoid(rng, size, density=(i % 11) / 10, reflexive=i % 2 == 0)
+
+
+def test_witnesses_are_the_first_violations_in_carrier_order():
+    laws = [p for p in Property if p is not P.WORD_IDEMPOTENT]
+    for g in _oracle_samples():
+        expected = first_violations(g)
+        report = property_report(FiniteGroupoid(g.elements, g.table))
+        for p in laws:
+            witness = expected[str(p)]
+            want = PropertyVerdict(p, witness is None, witness, _universe(g, p))
+            assert check_property(g, p) == want, (p, g.table)
+            assert report.verdicts[p] == want, (p, g.table)
+
+
+def test_stored_verdicts_do_not_depend_on_request_order():
+    requests = [(p, 3) for p in Property if p is not P.WORD_IDEMPOTENT]
+    requests += [(P.WORD_IDEMPOTENT, bound) for bound in (1, 2, 3)]
+    rng = random.Random(31)
+    for i in range(150):
+        g = random_groupoid(
+            rng, rng.randint(1, 4), rng.random(), reflexive=i % 2 == 0, idempotent=i % 3 == 0
+        )
+        rng.shuffle(requests)
+        for p, bound in requests:
+            fresh = FiniteGroupoid(g.elements, g.table)
+            assert check_property(g, p, bound) == check_property(fresh, p, bound), (p, bound)
+        for p, bound in requests:
+            assert check_property(g, p, bound) is check_property(g, p, bound)
 
 
 # -- word idempotence specifics ---------------------------------------------------

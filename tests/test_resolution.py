@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +26,7 @@ from matchmerge import (
     r_swoosh,
     record_groupoid,
 )
+from matchmerge.cli import run as run_cli
 from conftest import cluster_records, finite_fixture_suite, two_cluster_records
 from helpers import naive_merge_closure, random_record_instance
 
@@ -35,6 +38,55 @@ def test_closure_of_all_matching_records_has_all_unions(record_bb):
     closure = merge_closure(record_bb, cluster_records())
     assert closure.closed
     assert len(closure.carrier) == 7
+
+
+def _asking(bb):
+    """The same rules, with every match call logged as (x id, y id, merged id
+    or None)."""
+    asked = []
+
+    def match(x, y):
+        hit = bb.match(x, y)
+        asked.append((bb.key(x), bb.key(y), bb.key(bb.merge(x, y)) if hit else None))
+        return hit
+
+    return replace(bb, match=match), asked
+
+
+def test_record_closure_matches_each_ordered_pair_once(record_bb):
+    records = cluster_records() + two_cluster_records()
+    counted, asked = _asking(record_bb)
+    closure = merge_closure(counted, records)
+    assert closure.closed
+    carrier = closure.carrier
+    per_pair = Counter((x, y) for x, y, _ in asked)
+    assert set(per_pair) == {(x, y) for x in carrier for y in carrier}
+    assert set(per_pair.values()) == {1}
+    objects = closure.objects
+    assert closure.groupoid.table == {
+        (x, y): record_bb.key(record_bb.merge(objects[x], objects[y]))
+        for x in carrier
+        for y in carrier
+        if record_bb.match(objects[x], objects[y])
+    }
+
+
+def test_exhausted_record_closure_keeps_the_compositions_it_evaluated(record_bb):
+    # five records sharing a key value close to 31 unions; ten fit the budget
+    records = [Record.of(name={"ann"}, **{f"src{i}": {f"r{i}"}}) for i in range(5)]
+    counted, asked = _asking(record_bb)
+    closure = merge_closure(counted, records, Budget(max_elements=10))
+    assert closure.status == "budget_exhausted"
+    inside = set(closure.carrier)
+    assert len(inside) == 10
+    assert len({(x, y) for x, y, _ in asked}) == len(asked)
+    table = closure.groupoid.table
+    assert table == {(x, y): z for x, y, z in asked if z is not None and z in inside}
+    # the composition that broke the budget was evaluated but is not kept
+    assert any(z is not None and z not in inside for _, _, z in asked)
+    # every record merges with itself to itself, yet late elements have no
+    # loop in the table: the closure stopped before composing them
+    assert any((x, x) not in table for x in inside)
 
 
 def test_closure_of_chain_instance_exhausts_budget():
@@ -234,6 +286,32 @@ def test_rswoosh_never_leaves_the_closure(record_bb):
     closure = merge_closure(record_bb, records)
     result = r_swoosh(record_bb, records)
     assert set(result.resolved) <= set(closure.carrier)
+
+
+def test_icar_dispatch_evaluates_no_word_products(monkeypatch, capsys):
+    import matchmerge.properties as properties
+
+    calls = []
+    original = properties.interval_products
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(properties, "interval_products", counting)
+    assert run_cli(["er", "maxnat:5", "--method", "auto"]) == 0
+    assert "method: rswoosh (ICAR verified)" in capsys.readouterr().out
+    g = builtin("maxnat", 5)
+    assert r_swoosh(g, g.elements).resolved == ("4",)
+    assert calls == []
+    # the counter sees the word products that NR itself evaluates
+    assert check_property(g, Property.WORD_IDEMPOTENT).holds
+    assert calls
+
+
+def test_rswoosh_lists_failing_properties_in_icar_order(q2):
+    with pytest.raises(HypothesesNotSatisfiedError, match="failing: I, SC, A, R$"):
+        r_swoosh(q2, q2.elements)
 
 
 def test_rswoosh_refuses_non_icar_finite_groupoid(p1):
