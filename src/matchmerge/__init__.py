@@ -18,6 +18,7 @@ from .documents import (
     dump_groupoid,
     groupoid_to_document,
     load_digraph,
+    load_document,
     load_groupoid,
     load_instance,
     load_records,

@@ -61,23 +61,14 @@ class CliInput:
 def _resolve_input(spec: str) -> CliInput:
     for candidate in (Path(spec), Path(spec + ".json")):
         if candidate.is_file():
-            try:
-                data = json.loads(candidate.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise LoadError(candidate, exc.msg, exc.lineno, exc.colno) from exc
-            except OSError as exc:
-                raise LoadError(candidate, str(exc)) from exc
-            if isinstance(data, dict) and "elements" in data:
-                doc = documents.load_groupoid(candidate)
+            doc = documents.load_document(candidate)
+            if isinstance(doc, documents.GroupoidDocument):
                 return CliInput(str(candidate), doc.groupoid, doc.order_pairs)
-            if isinstance(data, dict) and "records" in data:
-                doc = documents.load_records(candidate)
-                return CliInput(
-                    str(candidate),
-                    blackbox=adapters.record_groupoid(doc.key_attributes),
-                    records=doc.records,
-                )
-            raise LoadError(candidate, "unrecognized document: expected 'elements' or 'records'")
+            return CliInput(
+                str(candidate),
+                blackbox=adapters.record_groupoid(doc.key_attributes),
+                records=doc.records,
+            )
     name, _, size = spec.partition(":")
     try:
         fixture = adapters.builtin(name, int(size) if size else None)
@@ -389,9 +380,10 @@ def _cmd_quotient(args) -> int:
 
 def _order_section(g, variant: OrderVariant):
     rel = natural_order(g, variant)
+    ordered = rel.sorted_pairs()
     audit = order_law_audit(rel)
-    lines = [f"natural {variant.value}: {len(rel.pairs)} pairs"]
-    lines.extend(f"  {p} <= {q}" for p, q in rel.sorted_pairs())
+    lines = [f"natural {variant.value}: {len(ordered)} pairs"]
+    lines.extend(f"  {p} <= {q}" for p, q in ordered)
     lines.append(
         "  laws:"
         f" reflexive={_yesno(audit.reflexive.holds)}"
@@ -404,7 +396,7 @@ def _order_section(g, variant: OrderVariant):
     maximal = maximal_elements(g, variant)
     lines.append("  maximal: [" + ", ".join(maximal) + "]")
     payload = {
-        "pairs": [[p, q] for p, q in rel.sorted_pairs()],
+        "pairs": [[p, q] for p, q in ordered],
         "reflexive": audit.reflexive.holds,
         "antisymmetric": audit.antisymmetric.holds,
         "transitive": audit.transitive.holds,
@@ -507,6 +499,16 @@ def _budget(args) -> Budget:
     return Budget(args.budget_elements, args.budget_rounds)
 
 
+def _word_bound(text: str) -> int:
+    try:
+        bound = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if bound < 1:
+        raise argparse.ArgumentTypeError(f"word bound must be at least 1, got {bound}")
+    return bound
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchmerge",
@@ -521,7 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget-rounds", type=int, default=Budget().max_rounds)
 
     p = sub.add_parser("check", parents=[common], help="property report and implication audit")
-    p.add_argument("--nr-bound", type=int, default=3)
+    p.add_argument("--nr-bound", type=_word_bound, default=3)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("closure", parents=[common], help="merge closure of an instance")
@@ -544,7 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("quotient", parents=[common], help="mutual-absorption quotient")
-    p.add_argument("--nr-bound", type=int, default=3)
+    p.add_argument("--nr-bound", type=_word_bound, default=3)
     p.set_defaults(func=_cmd_quotient)
 
     p = sub.add_parser("order", parents=[common], help="natural orders, audits, maximal and full sets")

@@ -50,6 +50,17 @@ def _expect(condition: bool, path, message: str):
         raise LoadError(path, message)
 
 
+def load_document(path) -> GroupoidDocument | RecordsDocument:
+    """Parse a groupoid document (an ``elements`` key) or a records document
+    (a ``records`` key), reading the file once."""
+    data = _read_json(path)
+    if isinstance(data, dict) and "elements" in data:
+        return _groupoid_document(data, path)
+    if isinstance(data, dict) and "records" in data:
+        return _records_document(data, path)
+    raise LoadError(path, "unrecognized document: expected 'elements' or 'records'")
+
+
 def load_groupoid(path) -> GroupoidDocument:
     """Parse an explicit groupoid document.
 
@@ -58,7 +69,10 @@ def load_groupoid(path) -> GroupoidDocument:
     pairs absent from ``compositions`` are undefined.  An optional ``order``
     key supplies a user relation as an array of ``[p, q]`` pairs.
     """
-    data = _read_json(path)
+    return _groupoid_document(_read_json(path), path)
+
+
+def _groupoid_document(data, path) -> GroupoidDocument:
     _expect(isinstance(data, dict), path, "top-level value must be an object")
     _expect("elements" in data, path, "missing key 'elements'")
     _expect("compositions" in data, path, "missing key 'compositions'")
@@ -141,7 +155,10 @@ def _parse_record(obj, path, where) -> Record:
 
 def load_records(path) -> RecordsDocument:
     """Parse a records document: ``records`` plus ``key_attributes``."""
-    data = _read_json(path)
+    return _records_document(_read_json(path), path)
+
+
+def _records_document(data, path) -> RecordsDocument:
     _expect(isinstance(data, dict), path, "top-level value must be an object")
     _expect("records" in data, path, "missing key 'records'")
     _expect("key_attributes" in data, path, "missing key 'key_attributes'")

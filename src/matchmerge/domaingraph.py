@@ -146,20 +146,14 @@ def is_total(g: FiniteGroupoid) -> TotalityReport:
     return TotalityReport(total, missing, graph_complete, loops_complete)
 
 
-def _mutual(g: FiniteGroupoid, a: ElementId, b: ElementId) -> bool:
-    return (a, b) in g.table and (b, a) in g.table
-
-
-def _grow_clique(g: FiniteGroupoid, start: list[ElementId]) -> tuple[ElementId, ...]:
-    clique = list(start)
-    inside = set(clique)
-    for w in g.elements:
-        if w in inside:
-            continue
-        if all(_mutual(g, w, s) for s in clique):
-            clique.append(w)
-            inside.add(w)
-    return tuple(sorted(clique, key=g.position))
+def _grow_clique(nodes: tuple, neighbours: dict, start: list) -> tuple[ElementId, ...]:
+    members = set(start)
+    candidates = set.intersection(*(neighbours[s] for s in start))
+    for w in nodes:
+        if w in candidates:
+            members.add(w)
+            candidates &= neighbours[w]
+    return tuple(n for n in nodes if n in members)
 
 
 def _build_clique(g: FiniteGroupoid, nodes: tuple[ElementId, ...]) -> Clique:
@@ -181,22 +175,24 @@ def _build_clique(g: FiniteGroupoid, nodes: tuple[ElementId, ...]) -> Clique:
 def clique_cover(dg: DomainGraph) -> CliqueCover:
     """Greedy clique cover of the mutual-definedness view.
 
-    Seeds a maximal clique at the lowest-index uncovered node, then sweeps
-    up any mutual edges still uncovered (overlapping cliques are allowed),
-    and finally emits singletons for isolated nodes.  Minimum covers are
+    Each node's mutual neighbours (the other nodes it composes with both
+    ways) are read off ``dg.edges`` once.  A clique is seeded at the
+    lowest-index uncovered node, then at each mutual edge still uncovered
+    (overlapping cliques are allowed), and grows by each node, in carrier
+    order, in the intersection of its members' neighbour sets; an isolated
+    node stays a singleton.  Minimum covers are
     intractable in general; any cover whose cliques catch every node and
     every mutual edge is acceptable.
     """
     g = dg.groupoid
     index = {e: i for i, e in enumerate(dg.nodes)}
-    mutual_edges = sorted(
-        {
-            (x, y) if index[x] <= index[y] else (y, x)
-            for (x, y) in dg.edges
-            if x != y and (y, x) in dg.edges
-        },
-        key=lambda pq: (index[pq[0]], index[pq[1]]),
-    )
+    neighbours = {n: set() for n in dg.nodes}
+    for x, y in dg.edges:
+        if x != y and (y, x) in dg.edges:
+            neighbours[x].add(y)
+    mutual_edges = [
+        (x, y) for x in dg.nodes for y in sorted(neighbours[x], key=index.get) if index[x] < index[y]
+    ]
     cliques: list[tuple[ElementId, ...]] = []
     covered_nodes: set[ElementId] = set()
     covered_edges: set[Pair] = set()
@@ -212,11 +208,11 @@ def clique_cover(dg: DomainGraph) -> CliqueCover:
     while True:
         seed_node = next((n for n in dg.nodes if n not in covered_nodes), None)
         if seed_node is not None:
-            mark(_grow_clique(g, [seed_node]))
+            mark(_grow_clique(dg.nodes, neighbours, [seed_node]))
             continue
         pending = next((e for e in mutual_edges if e not in covered_edges), None)
         if pending is not None:
-            mark(_grow_clique(g, list(pending)))
+            mark(_grow_clique(dg.nodes, neighbours, list(pending)))
             continue
         break
     return CliqueCover(tuple(_build_clique(g, c) for c in cliques))

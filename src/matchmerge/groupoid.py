@@ -53,9 +53,11 @@ class FiniteGroupoid:
     _position: Mapping[ElementId, int] = field(
         init=False, repr=False, compare=False, default=None
     )
-    # Property verdicts stored by ``properties.check_property``.  Valid only
-    # because ``table`` is never changed after construction.
-    _verdicts: dict = field(
+    # Results stored on first request: property verdicts from
+    # ``properties.check_property`` (keyed by ``Property``, or ``(Property,
+    # bound)`` for NR) and ``order.natural_order`` relations (keyed by
+    # ``OrderVariant``).  Valid only because ``table`` never changes.
+    _derived: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 

@@ -123,54 +123,50 @@ class OrderCharacterization:
 
 
 def natural_order(g: FiniteGroupoid, variant: OrderVariant) -> OrderRelation:
-    """Materialize the chosen natural relation as an explicit pair set."""
+    """The chosen natural relation, read off the defined compositions.
+
+    An entry ``p o q = q`` gives the right pair ``(p, q)`` and an entry
+    ``q o p = q`` the left pair ``(p, q)``; ``BOTH`` is their intersection.
+    The first request reads all three variants in one pass over ``g.table``
+    and stores them on ``g``, which relies on the table never changing.
+    """
     variant = OrderVariant(variant)
-    pairs = set()
-    for p, q in g.pairs():
-        pq = g.table.get((p, q))
-        qp = g.table.get((q, p))
-        if variant is OrderVariant.RIGHT:
-            ok = pq == q
-        elif variant is OrderVariant.LEFT:
-            ok = qp == q
-        else:
-            ok = pq == q and qp == q
-        if ok:
-            pairs.add((p, q))
-    return OrderRelation(g.elements, frozenset(pairs), f"natural:{variant.value}")
+    memo = g._derived
+    if variant not in memo:
+        right, left = set(), set()
+        for (p, q), v in g.table.items():
+            if v == q:
+                right.add((p, q))
+            if v == p:
+                left.add((q, p))
+        for v, pairs in zip(OrderVariant, (left, right, left & right)):
+            memo[v] = OrderRelation(g.elements, frozenset(pairs), f"natural:{v.value}")
+    return memo[variant]
+
+
+def _first_failure(witness, detail: str) -> Verdict:
+    return Verdict(True) if witness is None else Verdict(False, witness, detail)
 
 
 def order_law_audit(rel: OrderRelation) -> OrderLawAudit:
     """Check reflexivity, antisymmetry and transitivity with witnesses."""
-    reflexive = Verdict(True)
-    for x in rel.carrier:
-        if (x, x) not in rel.pairs:
-            reflexive = Verdict(False, (x,), "missing loop")
-            break
-    antisymmetric = Verdict(True)
-    for x in rel.carrier:
-        for y in rel.carrier:
-            if x != y and (x, y) in rel.pairs and (y, x) in rel.pairs:
-                antisymmetric = Verdict(False, (x, y), "both directions related")
-                break
-        if not antisymmetric.holds:
-            break
-    transitive = Verdict(True)
-    done = False
-    for x in rel.carrier:
-        for y in rel.carrier:
-            if (x, y) not in rel.pairs:
-                continue
-            for z in rel.carrier:
-                if (y, z) in rel.pairs and (x, z) not in rel.pairs:
-                    transitive = Verdict(False, (x, y, z), "missing composite pair")
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    return OrderLawAudit(reflexive, antisymmetric, transitive)
+    ordered = rel.sorted_pairs()
+    loopless = next(((x,) for x in rel.carrier if (x, x) not in rel.pairs), None)
+    both_ways = next(((x, y) for x, y in ordered if x != y and (y, x) in rel.pairs), None)
+    gap = next(
+        (
+            (x, y, z)
+            for x, y in ordered
+            for z in rel.carrier
+            if (y, z) in rel.pairs and (x, z) not in rel.pairs
+        ),
+        None,
+    )
+    return OrderLawAudit(
+        _first_failure(loopless, "missing loop"),
+        _first_failure(both_ways, "both directions related"),
+        _first_failure(gap, "missing composite pair"),
+    )
 
 
 def maximal_elements(g: FiniteGroupoid, variant: OrderVariant) -> tuple[ElementId, ...]:
@@ -179,39 +175,26 @@ def maximal_elements(g: FiniteGroupoid, variant: OrderVariant) -> tuple[ElementI
     This phrasing behaves sanely even when the relation is not transitive,
     unlike "no strictly greater element".
     """
-    rel = natural_order(g, variant)
-    out = []
-    for m in g.elements:
-        if all((n, m) in rel.pairs for n in g.elements if (m, n) in rel.pairs):
-            out.append(m)
-    return tuple(out)
+    pairs = natural_order(g, variant).pairs
+    dominated = {m for m, n in pairs if (n, m) not in pairs}
+    return tuple(m for m in g.elements if m not in dominated)
 
 
 def full_elements(g: FiniteGroupoid, side: OrderVariant = OrderVariant.BOTH) -> tuple[ElementId, ...]:
     """Elements that absorb every defined composition on the given side(s).
 
     Left full: x o p defined implies x o p = p.  Right full: p o x defined
-    implies p o x = p.  ``BOTH`` intersects the two.
+    implies p o x = p.  ``BOTH`` intersects the two.  So an entry
+    ``x o p = v`` with ``v != p`` bars ``p`` from left-full, and an entry
+    ``p o x = v`` with ``v != p`` bars ``p`` from right-full: one pass per side.
     """
     side = OrderVariant(side)
-
-    def left_full(p):
-        return all(g.table.get((x, p), p) == p for x in g.elements)
-
-    def right_full(p):
-        return all(g.table.get((p, x), p) == p for x in g.elements)
-
-    out = []
-    for p in g.elements:
-        if side is OrderVariant.LEFT:
-            ok = left_full(p)
-        elif side is OrderVariant.RIGHT:
-            ok = right_full(p)
-        else:
-            ok = left_full(p) and right_full(p)
-        if ok:
-            out.append(p)
-    return tuple(out)
+    barred = set()
+    if side is not OrderVariant.RIGHT:
+        barred.update(p for (_, p), v in g.table.items() if v != p)
+    if side is not OrderVariant.LEFT:
+        barred.update(p for (p, _), v in g.table.items() if v != p)
+    return tuple(p for p in g.elements if p not in barred)
 
 
 def dominates(g: FiniteGroupoid, lower: Iterable[ElementId], upper: Iterable[ElementId]) -> bool:
@@ -238,40 +221,35 @@ def check_order_axioms(g: FiniteGroupoid, rel: OrderRelation) -> OrderAxiomsRepo
         raise NotPartialOrderError("relation is not a partial order", audit)
     g.require_all(rel.carrier)
 
-    lub = Verdict(True)
-    done = False
-    for p1, p2 in g.defined_pairs():
-        c = g.table[(p1, p2)]
-        if (p1, c) not in rel.pairs or (p2, c) not in rel.pairs:
-            lub = Verdict(False, (p1, p2), "composition is not an upper bound")
-            break
-        for x in g.elements:
-            if (p1, x) in rel.pairs and (p2, x) in rel.pairs and (c, x) not in rel.pairs:
-                lub = Verdict(False, (p1, p2, x), "composition is not least")
-                done = True
-                break
-        if done:
-            break
-
-    def compat(left_side: bool) -> Verdict:
-        for p1 in g.elements:
-            for p2 in g.elements:
-                if (p1, p2) not in rel.pairs:
-                    continue
-                for p in g.elements:
-                    if left_side:
-                        a, b = g.table.get((p, p1)), g.table.get((p, p2))
-                    else:
-                        a, b = g.table.get((p1, p)), g.table.get((p2, p))
-                    if a is None:
-                        continue
-                    if b is None:
-                        return Verdict(False, (p1, p2, p), "definedness not transported")
-                    if (a, b) not in rel.pairs:
-                        return Verdict(False, (p1, p2, p), "compositions not related")
+    def lub() -> Verdict:
+        for p1, p2 in g.defined_pairs():
+            c = g.table[(p1, p2)]
+            if (p1, c) not in rel.pairs or (p2, c) not in rel.pairs:
+                return Verdict(False, (p1, p2), "composition is not an upper bound")
+            for x in g.elements:
+                if (p1, x) in rel.pairs and (p2, x) in rel.pairs and (c, x) not in rel.pairs:
+                    return Verdict(False, (p1, p2, x), "composition is not least")
         return Verdict(True)
 
-    return OrderAxiomsReport(lub, compat(True), compat(False))
+    # In g's carrier order, which a relation's own carrier need not follow.
+    ordered = sorted(rel.pairs, key=lambda pq: (g.position(pq[0]), g.position(pq[1])))
+
+    def compat(left_side: bool) -> Verdict:
+        for p1, p2 in ordered:
+            for p in g.elements:
+                if left_side:
+                    a, b = g.table.get((p, p1)), g.table.get((p, p2))
+                else:
+                    a, b = g.table.get((p1, p)), g.table.get((p2, p))
+                if a is None:
+                    continue
+                if b is None:
+                    return Verdict(False, (p1, p2, p), "definedness not transported")
+                if (a, b) not in rel.pairs:
+                    return Verdict(False, (p1, p2, p), "compositions not related")
+        return Verdict(True)
+
+    return OrderAxiomsReport(lub(), compat(True), compat(False))
 
 
 def order_characterization(g: FiniteGroupoid, rel: OrderRelation) -> OrderCharacterization:
@@ -326,15 +304,11 @@ def order_characterization(g: FiniteGroupoid, rel: OrderRelation) -> OrderCharac
     failed_properties = tuple(str(p) for p in ICAR if not check_property(g, p).holds)
 
     natural = natural_order(g, OrderVariant.BOTH)
-    matches = rel.pairs == natural.pairs
-    discrepancy = None
-    if not matches:
-        index = {e: i for i, e in enumerate(g.elements)}
-        diff = sorted(
-            rel.pairs.symmetric_difference(natural.pairs),
-            key=lambda pq: (index[pq[0]], index[pq[1]]),
-        )
-        discrepancy = diff[0]
+    index = {e: i for i, e in enumerate(g.elements)}
+    discrepancy = min(
+        rel.pairs ^ natural.pairs, key=lambda pq: (index[pq[0]], index[pq[1]]), default=None
+    )
+    matches = discrepancy is None
 
     return OrderCharacterization(
         axioms_hold=not failed_axioms,

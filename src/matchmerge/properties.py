@@ -218,7 +218,7 @@ def check_property(
     changing after construction.
     """
     prop = Property(prop)
-    memo = g._verdicts
+    memo = g._derived
     if prop is Property.WORD_IDEMPOTENT:
         key = (prop, nr_word_bound)
         if key not in memo:

@@ -120,8 +120,9 @@ def er_bruteforce(closure: ClosureResult) -> ERResult:
             f"carrier has {len(carrier)} elements (guard {BRUTEFORCE_CARRIER_GUARD});"
             " use er_maximal instead"
         )
-    rel = natural_order(g, OrderVariant.BOTH)
-    above = {e: frozenset(q for q in carrier if (e, q) in rel.pairs) for e in carrier}
+    above = {e: set() for e in carrier}
+    for e, q in natural_order(g, OrderVariant.BOTH).pairs:
+        above[e].add(q)
     for k in range(1, len(carrier) + 1):
         found = []
         for combo in itertools.combinations(carrier, k):

@@ -144,6 +144,167 @@ def first_violations(g: FiniteGroupoid) -> dict:
     return out
 
 
+# -- order oracles -------------------------------------------------------------
+
+
+def natural_relations(g: FiniteGroupoid) -> dict:
+    """Oracle for the natural relations, keyed ``left``, ``right`` and
+    ``both``: every ordered carrier pair tested against the definitions
+    ``p <=r q`` iff ``pq = q`` and ``p <=l q`` iff ``qp = q``."""
+    el, t = g.elements, g.table
+    right = {(p, q) for p, q in cartesian(el, repeat=2) if t.get((p, q)) == q}
+    left = {(p, q) for p, q in cartesian(el, repeat=2) if t.get((q, p)) == q}
+    return {"left": left, "right": right, "both": left & right}
+
+
+def maximal_by_definition(elements, pairs) -> tuple:
+    """Elements m such that m related to n implies n related back to m."""
+    return tuple(
+        m for m in elements if all((n, m) in pairs for n in elements if (m, n) in pairs)
+    )
+
+
+def full_by_definition(g: FiniteGroupoid) -> dict:
+    """Left full: every defined x p equals p; right full: every defined p x
+    equals p; ``both``: the two at once.  Keyed like ``natural_relations``."""
+    el, t = g.elements, g.table
+    left = tuple(p for p in el if all(t.get((x, p), p) == p for x in el))
+    right = tuple(p for p in el if all(t.get((p, x), p) == p for x in el))
+    return {"left": left, "right": right, "both": tuple(p for p in left if p in right)}
+
+
+def first_order_law_violations(carrier, pairs) -> dict:
+    """Oracle for the partial-order laws of a relation: for each law, the
+    first violating tuple in the order of ``carrier``, or None."""
+
+    def first(arity, violated):
+        return next((w for w in cartesian(carrier, repeat=arity) if violated(*w)), None)
+
+    return {
+        "reflexive": first(1, lambda x: (x, x) not in pairs),
+        "antisymmetric": first(2, lambda x, y: x != y and (x, y) in pairs and (y, x) in pairs),
+        "transitive": first(
+            3, lambda x, y, z: (x, y) in pairs and (y, z) in pairs and (x, z) not in pairs
+        ),
+    }
+
+
+def first_order_axiom_violations(g: FiniteGroupoid, pairs) -> dict:
+    """Oracle for the least-upper-bound and the two compatibility laws of a
+    relation on ``g``: for each law, ``(witness, detail)`` of the first
+    violation in the carrier order of ``g``, or None.
+
+    lub fails at a defined ``(p1, p2)`` whose value is no upper bound of
+    both operands, else at ``(p1, p2, x)`` for the first upper bound ``x``
+    that the value is not below.  Compatibility fails at ``(p1, p2, p)``
+    with ``p1`` related to ``p2`` when ``p p1`` is defined but ``p p2`` is
+    not (left; ``p1 p`` and ``p2 p`` on the right), or when the two values
+    are not related.
+    """
+    el, t = g.elements, g.table
+
+    def lub(p1, p2):
+        if (p1, p2) not in t:
+            return None
+        c = t[(p1, p2)]
+        if (p1, c) not in pairs or (p2, c) not in pairs:
+            return (p1, p2), "composition is not an upper bound"
+        for x in el:
+            if (p1, x) in pairs and (p2, x) in pairs and (c, x) not in pairs:
+                return (p1, p2, x), "composition is not least"
+        return None
+
+    def compat(left_side):
+        def violation(p1, p2, p):
+            if (p1, p2) not in pairs:
+                return None
+            a, b = ((p, p1), (p, p2)) if left_side else ((p1, p), (p2, p))
+            if a not in t:
+                return None
+            if b not in t:
+                return (p1, p2, p), "definedness not transported"
+            if (t[a], t[b]) not in pairs:
+                return (p1, p2, p), "compositions not related"
+            return None
+
+        return violation
+
+    def first(arity, violation):
+        found = (violation(*w) for w in cartesian(el, repeat=arity))
+        return next((v for v in found if v is not None), None)
+
+    return {
+        "lub": first(2, lub),
+        "left_compat": first(3, compat(True)),
+        "right_compat": first(3, compat(False)),
+    }
+
+
+def random_relation(rng: random.Random, elements, partial_order: bool = False) -> set:
+    """A random relation on ``elements``.  With ``partial_order`` it is
+    reflexive, antisymmetric and transitive: each element sits below itself
+    and below everything above a random choice of elements ranked after it
+    in a random ranking."""
+    if not partial_order:
+        return {(p, q) for p, q in cartesian(elements, repeat=2) if rng.random() < 0.4}
+    ranked = rng.sample(list(elements), len(elements))
+    above = {}
+    for i in reversed(range(len(ranked))):
+        above[ranked[i]] = {ranked[i]}
+        for q in ranked[i + 1 :]:
+            if rng.random() < 0.4:
+                above[ranked[i]] |= above[q]
+    return {(p, q) for p in elements for q in above[p]}
+
+
+# -- clique-cover oracle -------------------------------------------------------
+
+
+def naive_clique_cover(g: FiniteGroupoid) -> list:
+    """Oracle for the greedy clique cover, as ``(nodes, is_total, leaks)``.
+
+    A clique is seeded at the first uncovered node, then at the first
+    uncovered pair of distinct nodes that compose both ways; it grows by each
+    node, in carrier order, that composes both ways with every member so
+    far, each candidate checked against every member.
+    """
+    el, t = g.elements, g.table
+
+    def mutual(a, b):
+        return a != b and (a, b) in t and (b, a) in t
+
+    def grow(start):
+        members = list(start)
+        for w in el:
+            if w not in members and all(mutual(w, m) for m in members):
+                members.append(w)
+        return tuple(e for e in el if e in members)
+
+    cliques = []
+    while True:
+        covered = {n for c in cliques for n in c}
+        seed = next(([n] for n in el if n not in covered), None)
+        if seed is None:
+            seed = next(
+                (
+                    [a, b]
+                    for i, a in enumerate(el)
+                    for b in el[i + 1 :]
+                    if mutual(a, b) and not any(a in c and b in c for c in cliques)
+                ),
+                None,
+            )
+        if seed is None:
+            break
+        cliques.append(grow(seed))
+    out = []
+    for nodes in cliques:
+        leaks = tuple(pq for pq in cartesian(nodes, repeat=2) if pq in t and t[pq] not in nodes)
+        total = all(pq in t for pq in cartesian(nodes, repeat=2)) and not leaks
+        out.append((nodes, total, leaks))
+    return out
+
+
 # -- random generators ---------------------------------------------------------
 
 

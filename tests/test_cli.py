@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from matchmerge.cli import run
+from matchmerge.order import OrderRelation
 
 
 def invoke(capsys, *argv):
@@ -273,6 +276,48 @@ def test_malformed_document_exits_two(capsys, tmp_path):
     code, _, err = invoke(capsys, "check", str(path))
     assert code == 2
     assert ":1:" in err
+
+
+@pytest.mark.parametrize("command", ["check", "quotient"])
+def test_word_bound_below_one_exits_two(capsys, command):
+    code, out, err = invoke(capsys, command, "p1", "--nr-bound", "0")
+    assert code == 2
+    assert out == ""
+    assert "argument --nr-bound: word bound must be at least 1, got 0" in err
+
+
+def test_each_document_is_parsed_once(capsys, monkeypatch):
+    parsed = []
+    loads = json.loads
+
+    def counting_loads(*args, **kwargs):
+        parsed.append(args[0])
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    for argv in (["check", "fixtures/p1"], ["er", "fixtures/records"]):
+        parsed.clear()
+        code, _, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert len(parsed) == 1, argv
+
+
+def test_order_builds_each_natural_relation_once(capsys, monkeypatch):
+    built = []
+    post_init = OrderRelation.__post_init__
+
+    def counting_post_init(self):
+        post_init(self)
+        built.append(self.provenance)
+
+    monkeypatch.setattr(OrderRelation, "__post_init__", counting_post_init)
+    code, _, _ = invoke(capsys, "order", "fixtures/p1")
+    assert code == 0
+    assert sorted(p for p in built if p.startswith("natural:")) == [
+        "natural:both",
+        "natural:left",
+        "natural:right",
+    ]
 
 
 def test_sized_builtin_spec(capsys):

@@ -5,10 +5,13 @@ import json
 import pytest
 
 from matchmerge import (
+    GroupoidDocument,
     LoadError,
+    RecordsDocument,
     builtin,
     dump_groupoid,
     load_digraph,
+    load_document,
     load_groupoid,
     load_instance,
     load_records,
@@ -143,3 +146,15 @@ def test_shipped_fixture_files_parse():
     records = load_records("fixtures/records.json")
     assert len(records.records) == 3
     load_digraph("fixtures/clicks.json")
+
+
+def test_load_document_tells_the_two_kinds_apart(tmp_path):
+    groupoid = load_document("fixtures/p1.json")
+    assert isinstance(groupoid, GroupoidDocument)
+    assert groupoid == load_groupoid("fixtures/p1.json")
+    records = load_document("fixtures/records.json")
+    assert isinstance(records, RecordsDocument)
+    assert records == load_records("fixtures/records.json")
+    for payload in ([1, 2], {"nodes": []}):
+        with pytest.raises(LoadError, match="unrecognized document"):
+            load_document(write(tmp_path, "other.json", payload))

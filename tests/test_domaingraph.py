@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from matchmerge import (
@@ -14,6 +16,7 @@ from matchmerge import (
     to_dot,
 )
 from conftest import finite_fixture_suite
+from helpers import naive_clique_cover, random_groupoid
 
 
 def symmetrized_p1() -> FiniteGroupoid:
@@ -207,6 +210,23 @@ def test_chain_cover_is_singletons():
     cover = clique_cover(domain_graph(ch))
     assert [c.nodes for c in cover.cliques] == [("a1",), ("a2",), ("a3",), ("a4",)]
     assert not any(c.is_total for c in cover.cliques)
+
+
+def test_cover_matches_the_naive_greedy_oracle():
+    # fixtures, then 2,000 seeded tables of 1 to 6 elements: reflexive or not,
+    # idempotent or not, at densities 0, 0.1, ..., 1
+    rng = random.Random(77)
+    samples = list(finite_fixture_suite().values()) + [
+        random_groupoid(
+            rng, rng.randint(1, 6), (i % 11) / 10, reflexive=i % 2 == 0, idempotent=i % 3 == 0
+        )
+        for i in range(2000)
+    ]
+    for g in samples:
+        cover = clique_cover(domain_graph(g))
+        assert [(c.nodes, c.is_total, c.leaks) for c in cover.cliques] == naive_clique_cover(g)
+        for c in cover.cliques:
+            assert c.groupoid == g.restrict(c.nodes)
 
 
 # -- dot rendering -------------------------------------------------------------------------

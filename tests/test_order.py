@@ -14,6 +14,7 @@ from matchmerge import (
     OrderRelation,
     OrderVariant,
     Property,
+    Verdict,
     check_order_axioms,
     check_property,
     dominates,
@@ -24,7 +25,16 @@ from matchmerge import (
     order_law_audit,
 )
 from conftest import cluster_records, finite_fixture_suite, materialized_records
-from helpers import random_groupoid
+from helpers import (
+    first_order_axiom_violations,
+    first_order_law_violations,
+    first_violations,
+    full_by_definition,
+    maximal_by_definition,
+    natural_relations,
+    random_groupoid,
+    random_relation,
+)
 
 L, R, B = OrderVariant.LEFT, OrderVariant.RIGHT, OrderVariant.BOTH
 
@@ -397,3 +407,106 @@ def test_axioms_do_not_imply_symmetry():
     assert result.failed_axioms == ("symmetric",)
     assert result.failed_properties == ("SC",)
     assert result.holds
+
+
+# -- the order layer against its oracles --------------------------------------------
+
+
+def _oracle_samples():
+    """Fixtures, then 2,000 seeded tables of 1 to 6 elements: reflexive or
+    not, idempotent or not, at densities 0, 0.1, ..., 1."""
+    rng = random.Random(4040)
+    for g in finite_fixture_suite().values():
+        yield g, rng
+    for i in range(2000):
+        size = rng.randint(1, 6)
+        density = (i % 11) / 10
+        yield random_groupoid(
+            rng, size, density, reflexive=i % 2 == 0, idempotent=i % 3 == 0
+        ), rng
+
+
+def _verdict(found, detail=None) -> Verdict:
+    """The verdict an oracle result stands for: None holds; a witness, or a
+    (witness, detail) pair, fails."""
+    if found is None:
+        return Verdict(True)
+    if detail is None:
+        found, detail = found
+    return Verdict(False, tuple(found), detail)
+
+
+def _assert_relation_matches_oracles(g, rel, natural_both, algebra_failures):
+    laws = first_order_law_violations(rel.carrier, rel.pairs)
+    audit = order_law_audit(rel)
+    assert audit.reflexive == _verdict(laws["reflexive"], "missing loop")
+    assert audit.antisymmetric == _verdict(laws["antisymmetric"], "both directions related")
+    assert audit.transitive == _verdict(laws["transitive"], "missing composite pair")
+    if not audit.is_partial_order:
+        with pytest.raises(NotPartialOrderError):
+            check_order_axioms(g, rel)
+        return
+    expected = {k: _verdict(v) for k, v in first_order_axiom_violations(g, rel.pairs).items()}
+    report = check_order_axioms(g, rel)
+    assert report.lub == expected["lub"], (g.table, rel.pairs)
+    assert report.left_compat == expected["left_compat"], (g.table, rel.pairs)
+    assert report.right_compat == expected["right_compat"], (g.table, rel.pairs)
+    if any((p, p) not in g.table for p in g.elements):
+        return
+    symmetric = first_violations(g)["S"] is None
+    failed_axioms = tuple(k for k, v in expected.items() if not v.holds)
+    failed_axioms += () if symmetric else ("symmetric",)
+    differ = [
+        pq
+        for pq in itertools.product(g.elements, repeat=2)
+        if (pq in rel.pairs) != (pq in natural_both)
+    ]
+    result = order_characterization(g, rel)
+    assert result.failed_axioms == failed_axioms
+    assert result.failed_properties == algebra_failures
+    assert result.relation_matches_natural == (not differ)
+    assert result.relation_discrepancy == (differ[0] if differ else None)
+
+
+def test_order_layer_matches_the_oracles():
+    for g, rng in _oracle_samples():
+        natural = natural_relations(g)
+        full = full_by_definition(g)
+        violations = first_violations(g)
+        algebra_failures = tuple(p for p in ("I", "SC", "A", "R") if violations[p] is not None)
+        for v in OrderVariant:
+            rel = natural_order(g, v)
+            assert rel.pairs == natural[v.value], (v, g.table)
+            assert rel.provenance == f"natural:{v.value}"
+            assert maximal_elements(g, v) == maximal_by_definition(g.elements, natural[v.value])
+            assert full_elements(g, v) == full[v.value], (v, g.table)
+        lower = rng.sample(g.elements, rng.randint(0, len(g)))
+        upper = rng.sample(g.elements, rng.randint(0, len(g)))
+        assert dominates(g, lower, upper) == all(
+            any((e, f) in natural["both"] for f in upper) for e in lower
+        )
+        relations = [natural_order(g, v) for v in OrderVariant] + [
+            OrderRelation(g.elements, random_relation(rng, g.elements)),
+            OrderRelation(g.elements, random_relation(rng, g.elements, partial_order=True)),
+            # a relation whose own carrier runs the other way round
+            OrderRelation(g.elements[::-1], random_relation(rng, g.elements, partial_order=True)),
+        ]
+        for rel in relations:
+            _assert_relation_matches_oracles(g, rel, natural["both"], algebra_failures)
+
+
+def test_stored_relations_do_not_depend_on_request_order():
+    requests = list(OrderVariant) + [p for p in Property if p is not Property.WORD_IDEMPOTENT]
+    rng = random.Random(53)
+    for i in range(200):
+        g = random_groupoid(
+            rng, rng.randint(1, 5), rng.random(), reflexive=i % 2 == 0, idempotent=i % 3 == 0
+        )
+        rng.shuffle(requests)
+        for request in requests:
+            fresh = FiniteGroupoid(g.elements, g.table)
+            if isinstance(request, OrderVariant):
+                assert natural_order(g, request) == natural_order(fresh, request)
+                assert natural_order(g, request) is natural_order(g, request)
+            else:
+                assert check_property(g, request) == check_property(fresh, request)
