@@ -19,16 +19,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import adapters, documents, domaingraph
-from .errors import LoadError, MatchMergeError
+from .errors import LoadError, MatchMergeError, NotPartialOrderError
 from .groupoid import BlackBoxGroupoid, Budget, FiniteGroupoid
 from .order import (
     OrderRelation,
     OrderVariant,
+    _characterization,
     check_order_axioms,
     full_elements,
     maximal_elements,
     natural_order,
-    order_characterization,
     order_law_audit,
 )
 from .properties import ICAR, Property, check_property, implication_audit, property_report
@@ -89,12 +89,17 @@ def _parse_instance(arg: str | None, loaded: CliInput):
     for candidate in (Path(arg), Path(arg + ".json")):
         if candidate.is_file():
             doc = documents.load_instance(candidate)
-            if doc.records is not None:
+            if doc.records is None:
+                ids = list(doc.element_ids)
+            elif loaded.records is None:
+                raise LoadError(arg, "record instance given for a groupoid input")
+            else:
                 return list(doc.records)
-            return list(doc.element_ids)
-    ids = [part for part in arg.split(",") if part]
-    if not ids:
-        raise LoadError(arg, "empty instance")
+            break
+    else:
+        ids = [part for part in arg.split(",") if part]
+        if not ids:
+            raise LoadError(arg, "empty instance")
     if loaded.records is not None:
         by_id = {r.canonical_id: r for r in loaded.records}
         missing = [i for i in ids if i not in by_id]
@@ -324,7 +329,10 @@ def _cmd_graph(args) -> int:
             for c in cover.cliques
         )
     if args.dot:
-        Path(args.dot).write_text(domaingraph.to_dot(dg), encoding="utf-8")
+        try:
+            Path(args.dot).write_text(domaingraph.to_dot(dg), encoding="utf-8")
+        except OSError as exc:
+            raise LoadError(args.dot, exc.strerror) from exc
         lines.append(f"dot written: {args.dot}")
         payload["dot"] = args.dot
     if args.format == "machine":
@@ -426,14 +434,16 @@ def _cmd_order(args) -> int:
     )
     if loaded.order_pairs is not None:
         rel = OrderRelation(g.elements, frozenset(loaded.order_pairs), "user")
-        audit = order_law_audit(rel)
+        try:
+            axioms = check_order_axioms(g, rel)  # audits the partial-order laws first
+        except NotPartialOrderError:
+            axioms = None
         lines.append(f"user order: {len(rel.pairs)} pairs")
         payload["user_order"] = {
             "pairs": [[p, q] for p, q in rel.sorted_pairs()],
-            "is_partial_order": audit.is_partial_order,
+            "is_partial_order": axioms is not None,
         }
-        if audit.is_partial_order:
-            axioms = check_order_axioms(g, rel)
+        if axioms is not None:
             lines.append(
                 "  axioms:"
                 f" lub={_yesno(axioms.lub.holds)}"
@@ -446,7 +456,7 @@ def _cmd_order(args) -> int:
                 "right_compat": axioms.right_compat.holds,
             }
             if all((p, p) in g.table for p in g.elements):
-                charac = order_characterization(g, rel)
+                charac = _characterization(g, rel, axioms)
                 lines.append(
                     f"  characterization: axioms={_yesno(charac.axioms_hold)}"
                     f" algebra={_yesno(charac.algebra_holds)}"

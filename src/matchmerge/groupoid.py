@@ -55,8 +55,9 @@ class FiniteGroupoid:
     )
     # Results stored on first request: property verdicts from
     # ``properties.check_property`` (keyed by ``Property``, or ``(Property,
-    # bound)`` for NR) and ``order.natural_order`` relations (keyed by
-    # ``OrderVariant``).  Valid only because ``table`` never changes.
+    # bound)`` for NR), ``order.natural_order`` relations (keyed by
+    # ``OrderVariant``) and ``quotient.quotient`` results (keyed by
+    # ``("quotient", bound)``).  Valid only because ``table`` never changes.
     _derived: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -296,38 +297,33 @@ def generated_subgroupoid(
     return ClosureResult(status, carrier, restricted, rounds, budget, dict(items))
 
 
-def interval_products(
+def _prefix_products(
     groupoid: FiniteGroupoid, factors: Sequence[Iterable[ElementId]]
-) -> dict[tuple[int, int], frozenset[ElementId]]:
-    """Dynamic program over contiguous spans of ``factors``.
+) -> Iterator[set[ElementId]]:
+    """Interval dynamic program over ``factors``, one end column at a time.
 
-    ``dp[(i, j)]`` is the set of values reachable by composing one element
-    from each factor of the span, over every way of grouping the span
-    binarily.  Undefined groupings contribute nothing, so an all-undefined
-    span yields the empty set.
+    The product of a span is the set of values reachable by composing one
+    element from each of its factors under every binary grouping; undefined
+    groupings contribute nothing.  After filling column ``j`` (every span
+    ending at factor ``j``) this yields the product of ``factors[:j + 1]``,
+    so a caller that stops early never computes the later columns.  Factors
+    are not validated.
     """
-    spans = [frozenset(groupoid.require_all(s)) for s in factors]
-    n = len(spans)
-    if n == 0:
-        raise ValueError("product needs at least one factor")
-    dp: dict[tuple[int, int], frozenset[ElementId]] = {}
-    for i, s in enumerate(spans):
-        dp[(i, i)] = s
     table = groupoid.table
-    for length in range(2, n + 1):
-        for i in range(0, n - length + 1):
-            j = i + length - 1
+    rows: list[list] = []  # rows[i][j - i]: product of factors i..j
+    for j, factor in enumerate(factors):
+        rows.append([factor])
+        for i in range(j - 1, -1, -1):
             acc = set()
             for k in range(i, j):
-                left = dp[(i, k)]
-                right = dp[(k + 1, j)]
-                for y in left:
+                right = rows[k + 1][j - k - 1]
+                for y in rows[i][k - i]:
                     for z in right:
                         v = table.get((y, z))
                         if v is not None:
                             acc.add(v)
-            dp[(i, j)] = frozenset(acc)
-    return dp
+            rows[i].append(acc)
+        yield rows[0][j]
 
 
 def product_of_subsets(
@@ -335,11 +331,16 @@ def product_of_subsets(
 ) -> frozenset[ElementId]:
     """Set product of carrier subsets under all binary groupings.
 
-    The empty set plays the role of a fully undefined product; definedness
-    of an expression is exactly non-emptiness of its product.
+    Every factor is checked against the carrier first; zero factors raise
+    ``ValueError``.  The empty set plays the role of a fully undefined
+    product; definedness of an expression is exactly non-emptiness of its
+    product.
     """
-    dp = interval_products(groupoid, factors)
-    return dp[(0, len(factors) - 1)]
+    spans = [frozenset(groupoid.require_all(s)) for s in factors]
+    if not spans:
+        raise ValueError("product needs at least one factor")
+    *_, product = _prefix_products(groupoid, spans)
+    return frozenset(product)
 
 
 def word_product(groupoid: FiniteGroupoid, word: Sequence[ElementId]) -> frozenset[ElementId]:

@@ -290,7 +290,14 @@ def order_characterization(g: FiniteGroupoid, rel: OrderRelation) -> OrderCharac
                 f"composition domain is not reflexive: ({p!r}, {p!r}) undefined",
                 witness=(p, p),
             )
-    axioms = check_order_axioms(g, rel)
+    return _characterization(g, rel, check_order_axioms(g, rel))
+
+
+def _characterization(
+    g: FiniteGroupoid, rel: OrderRelation, axioms: OrderAxiomsReport
+) -> OrderCharacterization:
+    """``order_characterization`` from the checked axioms of ``rel``, for a
+    caller that already holds them and has checked the domain reflexive."""
     failed_axioms = tuple(
         name
         for name, verdict in (

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .groupoid import ElementId, FiniteGroupoid, interval_products
+from .groupoid import ElementId, FiniteGroupoid, _prefix_products
 
 DEFAULT_WORD_BOUND = 3
 
@@ -187,19 +187,19 @@ def _word_idempotence_witness(g: FiniteGroupoid, bound: int):
     """NR: doubling a word does not change its (non-empty) product set.
 
     A word w violates the law when product(w) is non-empty but
-    product(w ++ w) differs from it.  This is an infinite scheme; a pass is
-    always relative to the word-length bound.
+    product(w ++ w) differs from it.  Each word of length k makes one pass
+    over the factors of w ++ w: product(w) is the prefix product after k
+    factors, the pass stops there when it is empty, and product(w ++ w) is
+    the last.  This is an infinite scheme; a pass is always relative to the
+    word-length bound.
     """
     if bound < 1:
         raise ValueError("word bound must be at least 1")
     for k in range(1, bound + 1):
         for word in itertools.product(g.elements, repeat=k):
-            once = interval_products(g, [{w} for w in word])[(0, k - 1)]
-            if not once:
-                continue
-            doubled = word + word
-            twice = interval_products(g, [{w} for w in doubled])[(0, 2 * k - 1)]
-            if twice != once:
+            products = _prefix_products(g, [{w} for w in word + word])
+            once = next(itertools.islice(products, k - 1, None))
+            if once and once != [*products][-1]:
                 return word
     return None
 

@@ -95,25 +95,16 @@ def congruence_classes(
     (it signals the bound was too low for this input, not a bug here).
     """
     _require_word_idempotent(g, nr_word_bound)
-    related = {
-        (p, q)
-        for p in g.elements
-        for q in g.elements
-        if mutually_absorbing(g, p, q)
-    }
+    related = {(p, q) for p, q in g.pairs() if mutually_absorbing(g, p, q)}
     for p in g.elements:
         if (p, p) not in related:
             raise CongruenceError("reflexivity", (p,))
     for p, q in related:
         if (q, p) not in related:
             raise CongruenceError("symmetry", (p, q))
-    for p in g.elements:
-        for q in g.elements:
-            if (p, q) not in related:
-                continue
-            for r in g.elements:
-                if (q, r) in related and (p, r) not in related:
-                    raise CongruenceError("transitivity", (p, q, r))
+    for p, q, r in g.triples():
+        if (p, q) in related and (q, r) in related and (p, r) not in related:
+            raise CongruenceError("transitivity", (p, q, r))
     for (p, p2), (q, q2) in cartesian(sorted(related), sorted(related)):
         if (p, q) in g.table and (p2, q2) in g.table:
             if (g.table[(p, q)], g.table[(p2, q2)]) not in related:
@@ -138,9 +129,14 @@ def quotient(g: FiniteGroupoid, nr_word_bound: int = DEFAULT_WORD_BOUND) -> Quot
     same class pair compose into different classes, that contradicts the
     congruence check and is a hard error.  When the source has a symmetric
     domain the quotient must come out commutative, and this is asserted.
+    The first request per word bound stores the result on ``g`` and later
+    ones return it, which relies on ``g.table`` never changing.
     """
+    memo_key = ("quotient", nr_word_bound)
+    if memo_key in g._derived:
+        return g._derived[memo_key]
     classes = congruence_classes(g, nr_word_bound)
-    rep = {e: classes.representative_of(e) for e in g.elements}
+    rep = {e: r for cls, r in zip(classes.classes, classes.representatives) for e in cls}
     carrier = tuple(r for r in g.elements if rep[r] == r)
     table: dict[tuple[ElementId, ElementId], ElementId] = {}
     origin: dict[tuple[ElementId, ElementId], tuple[ElementId, ElementId]] = {}
@@ -168,7 +164,8 @@ def quotient(g: FiniteGroupoid, nr_word_bound: int = DEFAULT_WORD_BOUND) -> Quot
                 "quotient of a symmetric-domain groupoid must be commutative;"
                 f" witness {comm.witness!r}"
             )
-    return QuotientGroupoid(quotient_groupoid, projection, classes)
+    g._derived[memo_key] = QuotientGroupoid(quotient_groupoid, projection, classes)
+    return g._derived[memo_key]
 
 
 def quotient_idempotence_check(
@@ -200,18 +197,15 @@ def class_semigroup_check(
     """
     members = g.require_all(members)
     inside = set(members)
-    for x in members:
-        for y in members:
-            v = g.table.get((x, y))
-            if v is None:
-                return Verdict(False, (x, y), "pair undefined inside the class")
-            if v not in inside:
-                return Verdict(False, (x, y), "composition escapes the class")
-    for x in members:
-        for y in members:
-            for z in members:
-                if g.table[(g.table[(x, y)], z)] != g.table[(x, g.table[(y, z)])]:
-                    return Verdict(False, (x, y, z), "association fails in the class")
+    for x, y in cartesian(members, repeat=2):
+        v = g.table.get((x, y))
+        if v is None:
+            return Verdict(False, (x, y), "pair undefined inside the class")
+        if v not in inside:
+            return Verdict(False, (x, y), "composition escapes the class")
+    for x, y, z in cartesian(members, repeat=3):
+        if g.table[(g.table[(x, y)], z)] != g.table[(x, g.table[(y, z)])]:
+            return Verdict(False, (x, y, z), "association fails in the class")
     for k in range(2, nr_word_bound + 1):
         for word in cartesian(members, repeat=k):
             expected = frozenset({g.table[(word[0], word[-1])]})

@@ -59,6 +59,19 @@ def parenthesization_products(g: FiniteGroupoid, factors) -> frozenset:
     return frozenset(out)
 
 
+def first_nr_violation(g: FiniteGroupoid, bound: int):
+    """Oracle for NR: the first word, by length and then in carrier order,
+    of length at most ``bound`` whose product is non-empty and differs from
+    the product of the word written twice; None when every word passes.
+    Both products come from ``parenthesization_products``."""
+    for k in range(1, bound + 1):
+        for word in cartesian(g.elements, repeat=k):
+            once = parenthesization_products(g, [{w} for w in word])
+            if once and parenthesization_products(g, [{w} for w in word * 2]) != once:
+                return word
+    return None
+
+
 # -- naive closure oracle ------------------------------------------------------
 
 

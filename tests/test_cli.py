@@ -257,6 +257,113 @@ def test_order_characterization_names_the_asymmetric_domain(capsys, tmp_path):
     assert charac["relation_matches_natural"] is True
 
 
+SEMILATTICE = {
+    "elements": ["a", "b", "c"],
+    "compositions": [[x, y, max(x, y)] for x in "abc" for y in "abc"],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, tail",
+    [
+        (
+            {**SEMILATTICE, "order": [[x, y] for x in "abc" for y in "abc" if x <= y]},
+            [
+                "user order: 6 pairs",
+                "  axioms: lub=yes left_compat=yes right_compat=yes",
+                "  characterization: axioms=yes algebra=yes consistent=yes"
+                " failed_axioms=[] failed_properties=[] natural=yes",
+            ],
+        ),
+        (
+            {**SEMILATTICE, "order": [["a", "a"], ["b", "b"], ["c", "c"], ["a", "b"], ["b", "c"]]},
+            ["user order: 5 pairs", "  axioms: skipped (not a partial order)"],
+        ),
+        (
+            {
+                "elements": ["a", "b"],
+                "compositions": [["a", "b", "b"], ["b", "a", "b"], ["b", "b", "b"]],
+                "order": [["a", "a"], ["b", "b"], ["a", "b"]],
+            },
+            ["user order: 3 pairs", "  axioms: lub=yes left_compat=yes right_compat=yes"],
+        ),
+    ],
+    ids=["partial-order", "not-partial-order", "non-reflexive-domain"],
+)
+def test_user_order_is_audited_once(capsys, monkeypatch, tmp_path, doc, tail):
+    import matchmerge.cli as cli_module
+    import matchmerge.order as order_module
+
+    audits, axiom_checks = [], []
+
+    def counting(calls, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (cli_module, order_module):
+        monkeypatch.setattr(module, "order_law_audit", counting(audits, module.order_law_audit))
+        monkeypatch.setattr(
+            module, "check_order_axioms", counting(axiom_checks, module.check_order_axioms)
+        )
+    path = tmp_path / "ord.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = invoke(capsys, "order", str(path), "--variant", "both")
+    assert code == 0
+    assert out.splitlines()[-len(tail):] == tail
+    assert sorted(rel.provenance for (rel,) in audits) == ["natural:both", "user"]
+    assert len(axiom_checks) == 1
+
+
+def test_dot_into_a_missing_directory_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.dot"
+    code, out, err = invoke(capsys, "graph", "fixtures/p1", "--dot", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {target}: No such file or directory\n"
+
+
+def _instance_doc(tmp_path, members):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"instance": members}), encoding="utf-8")
+    return str(path)
+
+
+def test_instance_document_ids_name_input_records(capsys, tmp_path):
+    from matchmerge.documents import load_records
+
+    ids = [r.canonical_id for r in load_records("fixtures/records.json").records][:2]
+    path = _instance_doc(tmp_path, ids)
+    code, out, _ = invoke(capsys, "er", "fixtures/records", "--instance", path)
+    assert code == 0
+    assert "resolved (1):" in out
+    path = _instance_doc(tmp_path, ids + ["zz"])
+    code, out, err = invoke(capsys, "er", "fixtures/records", "--instance", path)
+    assert code == 2
+    assert err == f"error: {path}: instance ids not among the input records: ['zz']\n"
+
+
+def test_record_instance_document_on_a_groupoid_exits_two(capsys, tmp_path):
+    path = _instance_doc(tmp_path, [{"name": ["ann"]}, {"name": ["bob"]}])
+    code, out, err = invoke(capsys, "er", "fixtures/p1", "--instance", path)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: record instance given for a groupoid input\n"
+
+
+def test_instance_document_ids_outside_the_carrier_exit_two(capsys, tmp_path):
+    path = _instance_doc(tmp_path, ["zz"])
+    for command in ("er", "closure"):
+        code, _, err = invoke(capsys, command, "fixtures/p1", "--instance", path)
+        assert code == 2
+        assert err == f"error: {path}: instance ids outside the carrier: ['zz']\n"
+        code, _, err = invoke(capsys, command, "fixtures/p1", "--instance", "zz")
+        assert code == 2
+        assert err == "error: zz: instance ids outside the carrier: ['zz']\n"
+
+
 def test_fixtures_listing(capsys):
     code, out, _ = invoke(capsys, "fixtures")
     assert code == 0

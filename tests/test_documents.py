@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -158,3 +160,19 @@ def test_load_document_tells_the_two_kinds_apart(tmp_path):
     for payload in ([1, 2], {"nodes": []}):
         with pytest.raises(LoadError, match="unrecognized document"):
             load_document(write(tmp_path, "other.json", payload))
+
+
+def test_fixtures_match_their_generator(tmp_path, capsys):
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", root / "scripts" / "make_fixtures.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.FIXTURES = tmp_path
+    script.main()
+    capsys.readouterr()
+    generated = sorted(p.name for p in tmp_path.iterdir())
+    assert generated == sorted(p.name for p in (root / "fixtures").iterdir())
+    for name in generated:
+        assert (tmp_path / name).read_bytes() == (root / "fixtures" / name).read_bytes(), name

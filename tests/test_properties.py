@@ -18,7 +18,7 @@ from matchmerge import (
     word_product,
 )
 from conftest import chaining_records, finite_fixture_suite, materialized_records
-from helpers import first_violations, random_groupoid
+from helpers import first_nr_violation, first_violations, random_groupoid
 
 P = Property
 
@@ -234,6 +234,43 @@ def test_word_idempotence_at_bound_one_is_exactly_idempotence():
             check_property(g, P.WORD_IDEMPOTENT, 1).holds
             == check_property(g, P.IDEMPOTENT).holds
         )
+
+
+def test_word_idempotence_matches_the_parenthesization_oracle():
+    """Verdict, first witness and universe at bounds 1 to 3, on the fixtures
+    and 500 seeded tables of 1 to 4 elements, three in four idempotent."""
+    samples = list(finite_fixture_suite().values())
+    rng = random.Random(2027)
+    samples += [
+        random_groupoid(
+            rng, rng.randint(1, 4), rng.random(), reflexive=i % 2 == 0, idempotent=i % 4 != 0
+        )
+        for i in range(500)
+    ]
+    lengths = set()
+    for g in samples:
+        for bound in (1, 2, 3):
+            witness = first_nr_violation(g, bound)
+            universe = f"words of length <= {bound} over {len(g)} elements"
+            want = PropertyVerdict(P.WORD_IDEMPOTENT, witness is None, witness, universe)
+            assert check_property(g, P.WORD_IDEMPOTENT, bound) == want, (bound, g.table)
+            lengths.add(len(witness) if witness else None)
+    assert lengths == {None, 1, 2, 3}
+
+
+def test_word_idempotence_makes_one_pass_per_word(monkeypatch):
+    import matchmerge.properties as properties
+
+    calls = []
+    original = properties._prefix_products
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(properties, "_prefix_products", counting)
+    assert check_property(builtin("maxnat", 4), P.WORD_IDEMPOTENT, 3).holds
+    assert len(calls) == 4 + 4**2 + 4**3  # once per word, not once per word and doubling
 
 
 def test_word_idempotence_universe_mentions_bound(p1):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
@@ -225,3 +226,39 @@ def test_class_words_collapse_to_endpoints(leftzero2):
     for word in (("p", "q", "p"), ("q", "p", "q"), ("p", "q", "q")):
         expected = leftzero2.table[(word[0], word[-1])]
         assert word_product(leftzero2, word) == {expected}
+
+
+# -- stored quotients ----------------------------------------------------------------------
+
+
+def test_quotient_is_built_once_per_table_and_bound(monkeypatch, capsys):
+    from matchmerge.cli import run
+
+    # the package re-exports the function under the module's name
+    quotient_module = importlib.import_module("matchmerge.quotient")
+
+    calls = []
+    original = quotient_module.congruence_classes
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quotient_module, "congruence_classes", counting)
+    # the quotient of the input, then the quotient of that quotient
+    assert run(["quotient", "leftzero2"]) == 0
+    assert "stable under re-quotient: yes" in capsys.readouterr().out
+    assert len(calls) == 2
+
+    calls.clear()
+    g = FiniteGroupoid(("e",), {("e", "e"): "e"})
+    assert quotient(g) is quotient(g, 3)
+    assert quotient(g, 2) is not quotient(g, 3)
+    assert len(calls) == 2
+
+
+def test_failed_quotient_is_not_stored(q2):
+    for _ in range(2):
+        with pytest.raises(HypothesesNotSatisfiedError):
+            quotient(q2)
+    assert not any(isinstance(key, tuple) and key[0] == "quotient" for key in q2._derived)

@@ -292,13 +292,13 @@ def test_icar_dispatch_evaluates_no_word_products(monkeypatch, capsys):
     import matchmerge.properties as properties
 
     calls = []
-    original = properties.interval_products
+    original = properties._prefix_products
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(properties, "interval_products", counting)
+    monkeypatch.setattr(properties, "_prefix_products", counting)
     assert run_cli(["er", "maxnat:5", "--method", "auto"]) == 0
     assert "method: rswoosh (ICAR verified)" in capsys.readouterr().out
     g = builtin("maxnat", 5)
