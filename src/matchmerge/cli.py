@@ -3,8 +3,11 @@
 Subcommands: check, closure, er, graph, quotient, order, fixtures.
 Inputs are groupoid or records documents (paths, with or without the .json
 suffix) or built-in fixture names like ``p1`` or ``chain:12``.  Output is
-deterministic byte-for-byte for identical inputs and flags; ``--format
-machine`` emits the same JSON document syntax the loaders accept.
+deterministic byte-for-byte for identical inputs and flags.  Each command
+returns one result: an exit code, a machine payload and text lines, and
+``--format machine`` prints the payload as one JSON object, budget
+exhaustion included.  Only ``quotient``'s ``quotient`` member is a groupoid
+document the loaders accept.
 
 Exit codes: 0 success, 1 structured domain outcomes (budget exhaustion,
 unmet hypotheses), 2 malformed input.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -97,7 +101,9 @@ def _parse_instance(arg: str | None, loaded: CliInput):
                 return list(doc.records)
             break
     else:
-        ids = [part for part in arg.split(",") if part]
+        # a record id is compact JSON: split records only between "}" and "{"
+        separator = r"(?<=\}),(?=\{)" if loaded.records is not None else ","
+        ids = [part for part in re.split(separator, arg) if part]
         if not ids:
             raise LoadError(arg, "empty instance")
     if loaded.records is not None:
@@ -126,46 +132,44 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _emit(lines) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
+def _bracketed(names) -> str:
+    return "[" + ", ".join(names) + "]"
 
 
-def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _law(name: str, verdict) -> str:
+    """`` name=yes`` or `` name=no (witness)`` for one law of an order."""
+    witness = "" if verdict.holds else f" {_fmt_witness(verdict.witness)}"
+    return f" {name}={_yesno(verdict.holds)}{witness}"
 
 
 # -- check -------------------------------------------------------------------
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     loaded = _resolve_input(args.input)
     g = loaded.finite(_budget(args))
     report = property_report(g, args.nr_bound)
     violations = implication_audit(g, report)
-    if args.format == "machine":
-        _emit_json(
-            {
-                "input": loaded.label,
-                "elements": len(g),
-                "properties": [
-                    {
-                        "property": str(p),
-                        "holds": v.holds,
-                        "witness": list(v.witness) if v.witness else None,
-                        "universe": v.checked_universe,
-                    }
-                    for p, v in ((p, report.verdicts[p]) for p in Property)
-                ],
-                "is_icar": report.is_icar,
-                "is_partial_semigroup_ca": report.is_partial_semigroup_ca,
-                "implication_violations": violations,
-            }
-        )
-        return 1 if violations else 0
+    payload = {
+        "input": loaded.label,
+        "elements": len(g),
+        "properties": [],
+        "is_icar": report.is_icar,
+        "is_partial_semigroup_ca": report.is_partial_semigroup_ca,
+        "implication_violations": violations,
+    }
     lines = [f"input: {loaded.label} ({len(g)} elements, {len(g.table)} compositions)"]
     lines.append(f"{'property':<9} {'holds':<6} {'witness':<18} universe")
     for p in Property:
         v = report.verdicts[p]
+        payload["properties"].append(
+            {
+                "property": str(p),
+                "holds": v.holds,
+                "witness": list(v.witness) if v.witness else None,
+                "universe": v.checked_universe,
+            }
+        )
         lines.append(
             f"{str(p):<9} {_yesno(v.holds):<6} {_fmt_witness(v.witness):<18} {v.checked_universe}"
         )
@@ -175,67 +179,65 @@ def _cmd_check(args) -> int:
         lines.append("implication audit: CHECKER BUG, violated: " + "; ".join(violations))
     else:
         lines.append("implication audit: ok")
-    _emit(lines)
-    return 1 if violations else 0
+    return (1 if violations else 0), payload, lines
 
 
 # -- closure -----------------------------------------------------------------
 
 
-def _cmd_closure(args) -> int:
+def _cmd_closure(args):
     loaded = _resolve_input(args.input)
     members = _parse_instance(args.instance, loaded)
     result = merge_closure(_target(loaded), members, _budget(args))
-    if args.format == "machine":
-        _emit_json(
-            {
-                "input": loaded.label,
-                "status": result.status,
-                "iterations": result.iterations,
-                "budget": {
-                    "max_elements": result.budget.max_elements,
-                    "max_rounds": result.budget.max_rounds,
-                },
-                "carrier": sorted(result.carrier),
-            }
-        )
-        return 0 if result.closed else 1
+    carrier = sorted(result.carrier)
+    payload = {
+        "input": loaded.label,
+        "status": result.status,
+        "iterations": result.iterations,
+        "budget": {
+            "max_elements": result.budget.max_elements,
+            "max_rounds": result.budget.max_rounds,
+        },
+        "carrier": carrier,
+    }
     lines = [
         f"input: {loaded.label}",
         f"status: {result.status}",
-        f"carrier: {len(result.carrier)} elements",
+        f"carrier: {len(carrier)} elements",
         f"iterations: {result.iterations}",
         f"budget: max_elements={result.budget.max_elements} max_rounds={result.budget.max_rounds}",
         "elements:",
     ]
-    lines.extend(f"  {e}" for e in sorted(result.carrier))
-    _emit(lines)
-    return 0 if result.closed else 1
+    lines.extend(f"  {e}" for e in carrier)
+    return (0 if result.closed else 1), payload, lines
 
 
 # -- er ----------------------------------------------------------------------
 
 
-def _cmd_er(args) -> int:
+def _cmd_er(args):
     loaded = _resolve_input(args.input)
     budget = _budget(args)
     members = _parse_instance(args.instance, loaded)
     target = _target(loaded)
     instance = Instance.over(target, members)
     closure = merge_closure(target, instance, budget)
-    trail = []
+    payload = {
+        "input": loaded.label,
+        "closure": {"status": closure.status, "carrier": sorted(closure.carrier)},
+    }
+    lines = [f"input: {loaded.label}"]
     if not closure.closed:
-        _emit(
-            [
-                f"input: {loaded.label}",
-                f"closure: {closure.status} after {closure.iterations} iterations"
-                f" ({len(closure.carrier)} elements)",
-            ]
+        payload["closure"]["iterations"] = closure.iterations
+        lines.append(
+            f"closure: {closure.status} after {closure.iterations} iterations"
+            f" ({len(closure.carrier)} elements)"
         )
-        return 1
+        return 1, payload, lines
 
     method = args.method
     note = ""
+    trail = []
     if method == "auto":
         g = closure.groupoid
         if all(check_property(g, p).holds for p in ICAR):
@@ -254,41 +256,30 @@ def _cmd_er(args) -> int:
     if method == "rswoosh":
         swoosh_target = loaded.blackbox if loaded.blackbox is not None else closure.groupoid
         result = r_swoosh(swoosh_target, instance, budget)
-    elif method == "maximal":
-        result = er_maximal(closure)
-    elif method == "bruteforce":
-        result = er_bruteforce(closure)
     else:
-        result = er_full(closure)
+        resolvers = {"maximal": er_maximal, "bruteforce": er_bruteforce, "full": er_full}
+        result = resolvers[method](closure)
 
-    if args.format == "machine":
-        _emit_json(
-            {
-                "input": loaded.label,
-                "closure": {"status": closure.status, "carrier": sorted(closure.carrier)},
-                "decision_trail": trail,
-                "method": result.method,
-                "note": note,
-                "resolved": list(result.resolved),
-                "certificate": result.certificate,
-            }
-        )
-        return 0
-    lines = [f"input: {loaded.label}"]
+    payload.update(
+        decision_trail=trail,
+        method=result.method,
+        note=note,
+        resolved=list(result.resolved),
+        certificate=result.certificate,
+    )
     lines.append(f"closure: {closure.status}, {len(closure.carrier)} elements")
     lines.extend(f"decision: {t}" for t in trail)
     lines.append(f"method: {result.method}" + (f" ({note})" if note else ""))
     lines.append(f"resolved ({len(result.resolved)}):")
     lines.extend(f"  {e}" for e in result.resolved)
     lines.append(f"certificate: {result.certificate}")
-    _emit(lines)
-    return 0
+    return 0, payload, lines
 
 
 # -- graph -------------------------------------------------------------------
 
 
-def _cmd_graph(args) -> int:
+def _cmd_graph(args):
     loaded = _resolve_input(args.input)
     g = loaded.finite(_budget(args))
     dg = domaingraph.domain_graph(g)
@@ -315,7 +306,7 @@ def _cmd_graph(args) -> int:
         components = domaingraph.connected_components(dg)
         payload["components"] = [sorted(c.nodes) for c in components]
         lines.append(f"components ({len(components)}):")
-        lines.extend("  [" + ", ".join(sorted(c.nodes)) + "]" for c in components)
+        lines.extend(f"  {_bracketed(nodes)}" for nodes in payload["components"])
     if args.clique_cover:
         cover = domaingraph.clique_cover(dg)
         payload["cliques"] = [
@@ -324,7 +315,7 @@ def _cmd_graph(args) -> int:
         ]
         lines.append(f"cliques ({len(cover.cliques)}):")
         lines.extend(
-            "  [" + ", ".join(c.nodes) + f"] total={_yesno(c.is_total)}"
+            f"  {_bracketed(c.nodes)} total={_yesno(c.is_total)}"
             + (f" leaks={len(c.leaks)}" if c.leaks else "")
             for c in cover.cliques
         )
@@ -335,17 +326,13 @@ def _cmd_graph(args) -> int:
             raise LoadError(args.dot, exc.strerror) from exc
         lines.append(f"dot written: {args.dot}")
         payload["dot"] = args.dot
-    if args.format == "machine":
-        _emit_json(payload)
-    else:
-        _emit(lines)
-    return 0
+    return 0, payload, lines
 
 
 # -- quotient ----------------------------------------------------------------
 
 
-def _cmd_quotient(args) -> int:
+def _cmd_quotient(args):
     loaded = _resolve_input(args.input)
     g = loaded.finite(_budget(args))
     q = quotient(g, args.nr_bound)
@@ -354,33 +341,26 @@ def _cmd_quotient(args) -> int:
         class_semigroup_check(g, cls, args.nr_bound) for cls in q.classes.classes
     ]
     doc = documents.groupoid_to_document(q.groupoid)
-    if args.format == "machine":
-        _emit_json(
-            {
-                "input": loaded.label,
-                "word_bound": q.classes.word_bound,
-                "classes": [list(cls) for cls in q.classes.classes],
-                "representatives": list(q.classes.representatives),
-                "quotient": doc,
-                "stable_under_requotient": stable.holds,
-                "classes_are_semigroups": all(v.holds for v in class_checks),
-            }
-        )
-        return 0
+    payload = {
+        "input": loaded.label,
+        "word_bound": q.classes.word_bound,
+        "classes": [list(cls) for cls in q.classes.classes],
+        "representatives": list(q.classes.representatives),
+        "quotient": doc,
+        "stable_under_requotient": stable.holds,
+        "classes_are_semigroups": all(v.holds for v in class_checks),
+    }
     lines = [
         f"input: {loaded.label}",
         f"word bound: {q.classes.word_bound}",
         f"classes ({len(q.classes.classes)}):",
     ]
     for cls, rep, check in zip(q.classes.classes, q.classes.representatives, class_checks):
-        lines.append(
-            "  [" + ", ".join(cls) + f"] -> {rep} (semigroup: {_yesno(check.holds)})"
-        )
+        lines.append(f"  {_bracketed(cls)} -> {rep} (semigroup: {_yesno(check.holds)})")
     lines.append(f"stable under re-quotient: {_yesno(stable.holds)}")
     lines.append("quotient groupoid document:")
     lines.append(json.dumps(doc, indent=2))
-    _emit(lines)
-    return 0
+    return 0, payload, lines
 
 
 # -- order -------------------------------------------------------------------
@@ -390,30 +370,18 @@ def _order_section(g, variant: OrderVariant):
     rel = natural_order(g, variant)
     ordered = rel.sorted_pairs()
     audit = order_law_audit(rel)
+    maximal = maximal_elements(g, variant)
     lines = [f"natural {variant.value}: {len(ordered)} pairs"]
     lines.extend(f"  {p} <= {q}" for p, q in ordered)
-    lines.append(
-        "  laws:"
-        f" reflexive={_yesno(audit.reflexive.holds)}"
-        + ("" if audit.reflexive.holds else f" {_fmt_witness(audit.reflexive.witness)}")
-        + f" antisymmetric={_yesno(audit.antisymmetric.holds)}"
-        + ("" if audit.antisymmetric.holds else f" {_fmt_witness(audit.antisymmetric.witness)}")
-        + f" transitive={_yesno(audit.transitive.holds)}"
-        + ("" if audit.transitive.holds else f" {_fmt_witness(audit.transitive.witness)}")
-    )
-    maximal = maximal_elements(g, variant)
-    lines.append("  maximal: [" + ", ".join(maximal) + "]")
-    payload = {
-        "pairs": [[p, q] for p, q in ordered],
-        "reflexive": audit.reflexive.holds,
-        "antisymmetric": audit.antisymmetric.holds,
-        "transitive": audit.transitive.holds,
-        "maximal": list(maximal),
-    }
+    laws = [(name, getattr(audit, name)) for name in ("reflexive", "antisymmetric", "transitive")]
+    lines.append("  laws:" + "".join(_law(name, verdict) for name, verdict in laws))
+    lines.append(f"  maximal: {_bracketed(maximal)}")
+    payload = {"pairs": [[p, q] for p, q in ordered], "maximal": list(maximal)}
+    payload.update((name, verdict.holds) for name, verdict in laws)
     return lines, payload
 
 
-def _cmd_order(args) -> int:
+def _cmd_order(args):
     loaded = _resolve_input(args.input)
     g = loaded.finite(_budget(args))
     variants = (
@@ -425,12 +393,9 @@ def _cmd_order(args) -> int:
         section_lines, section_payload = _order_section(g, variant)
         lines.extend(section_lines)
         payload["natural"][variant.value] = section_payload
-    fulls = {v.value: list(full_elements(g, v)) for v in OrderVariant}
-    payload["full"] = fulls
+    payload["full"] = {v.value: list(full_elements(g, v)) for v in OrderVariant}
     lines.append(
-        "full: left=[" + ", ".join(fulls["left"]) + "]"
-        " right=[" + ", ".join(fulls["right"]) + "]"
-        " both=[" + ", ".join(fulls["both"]) + "]"
+        "full: " + " ".join(f"{v}={_bracketed(full)}" for v, full in payload["full"].items())
     )
     if loaded.order_pairs is not None:
         rel = OrderRelation(g.elements, frozenset(loaded.order_pairs), "user")
@@ -439,67 +404,52 @@ def _cmd_order(args) -> int:
         except NotPartialOrderError:
             axioms = None
         lines.append(f"user order: {len(rel.pairs)} pairs")
-        payload["user_order"] = {
+        user = payload["user_order"] = {
             "pairs": [[p, q] for p, q in rel.sorted_pairs()],
             "is_partial_order": axioms is not None,
         }
-        if axioms is not None:
-            lines.append(
-                "  axioms:"
-                f" lub={_yesno(axioms.lub.holds)}"
-                f" left_compat={_yesno(axioms.left_compat.holds)}"
-                f" right_compat={_yesno(axioms.right_compat.holds)}"
-            )
-            payload["user_order"]["axioms"] = {
-                "lub": axioms.lub.holds,
-                "left_compat": axioms.left_compat.holds,
-                "right_compat": axioms.right_compat.holds,
-            }
-            if all((p, p) in g.table for p in g.elements):
-                charac = _characterization(g, rel, axioms)
-                lines.append(
-                    f"  characterization: axioms={_yesno(charac.axioms_hold)}"
-                    f" algebra={_yesno(charac.algebra_holds)}"
-                    f" consistent={_yesno(charac.holds)}"
-                    " failed_axioms=[" + ", ".join(charac.failed_axioms) + "]"
-                    " failed_properties=[" + ", ".join(charac.failed_properties) + "]"
-                    f" natural={_yesno(charac.relation_matches_natural)}"
-                )
-                payload["user_order"]["characterization"] = {
-                    "axioms_hold": charac.axioms_hold,
-                    "algebra_holds": charac.algebra_holds,
-                    "consistent": charac.holds,
-                    "failed_axioms": list(charac.failed_axioms),
-                    "failed_properties": list(charac.failed_properties),
-                    "relation_matches_natural": charac.relation_matches_natural,
-                }
-        else:
+        if axioms is None:
             lines.append("  axioms: skipped (not a partial order)")
-    if args.format == "machine":
-        _emit_json(payload)
-    else:
-        _emit(lines)
-    return 0
+            return 0, payload, lines
+        user["axioms"] = {
+            "lub": axioms.lub.holds,
+            "left_compat": axioms.left_compat.holds,
+            "right_compat": axioms.right_compat.holds,
+        }
+        lines.append(
+            "  axioms:" + "".join(f" {k}={_yesno(v)}" for k, v in user["axioms"].items())
+        )
+        if all((p, p) in g.table for p in g.elements):
+            charac = _characterization(g, rel, axioms)
+            lines.append(
+                f"  characterization: axioms={_yesno(charac.axioms_hold)}"
+                f" algebra={_yesno(charac.algebra_holds)}"
+                f" consistent={_yesno(charac.holds)}"
+                f" failed_axioms={_bracketed(charac.failed_axioms)}"
+                f" failed_properties={_bracketed(charac.failed_properties)}"
+                f" natural={_yesno(charac.relation_matches_natural)}"
+            )
+            user["characterization"] = {
+                "axioms_hold": charac.axioms_hold,
+                "algebra_holds": charac.algebra_holds,
+                "consistent": charac.holds,
+                "failed_axioms": list(charac.failed_axioms),
+                "failed_properties": list(charac.failed_properties),
+                "relation_matches_natural": charac.relation_matches_natural,
+            }
+    return 0, payload, lines
 
 
 # -- fixtures ----------------------------------------------------------------
 
 
-def _cmd_fixtures(args) -> int:
-    if args.format == "machine":
-        _emit_json(
-            {
-                name: {"description": desc, "default_size": size}
-                for name, (desc, size) in sorted(adapters.BUILTINS.items())
-            }
-        )
-        return 0
-    lines = []
+def _cmd_fixtures(args):
+    payload, lines = {}, []
     for name, (desc, size) in sorted(adapters.BUILTINS.items()):
+        payload[name] = {"description": desc, "default_size": size}
         sized = f" (sized, default {size})" if size is not None else ""
         lines.append(f"{name:<10} {desc}{sized}")
-    _emit(lines)
-    return 0
+    return 0, payload, lines
 
 
 # -- wiring ------------------------------------------------------------------
@@ -509,14 +459,19 @@ def _budget(args) -> Budget:
     return Budget(args.budget_elements, args.budget_rounds)
 
 
-def _word_bound(text: str) -> int:
-    try:
-        bound = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if bound < 1:
-        raise argparse.ArgumentTypeError(f"word bound must be at least 1, got {bound}")
-    return bound
+def _at_least_one(quantity: str):
+    """An argparse type: an int of at least 1, named ``quantity`` in errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{quantity} must be at least 1, got {value}")
+        return value
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -525,15 +480,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Audit match/merge systems modeled as partial groupoids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    budget = _at_least_one("budget")
+    word_bound = _at_least_one("word bound")
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="groupoid/records document path or builtin fixture name")
     common.add_argument("--format", choices=("text", "machine"), default="text")
-    common.add_argument("--budget-elements", type=int, default=Budget().max_elements)
-    common.add_argument("--budget-rounds", type=int, default=Budget().max_rounds)
+    common.add_argument("--budget-elements", type=budget, default=Budget().max_elements)
+    common.add_argument("--budget-rounds", type=budget, default=Budget().max_rounds)
 
     p = sub.add_parser("check", parents=[common], help="property report and implication audit")
-    p.add_argument("--nr-bound", type=_word_bound, default=3)
+    p.add_argument("--nr-bound", type=word_bound, default=3)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("closure", parents=[common], help="merge closure of an instance")
@@ -556,7 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("quotient", parents=[common], help="mutual-absorption quotient")
-    p.add_argument("--nr-bound", type=_word_bound, default=3)
+    p.add_argument("--nr-bound", type=word_bound, default=3)
     p.set_defaults(func=_cmd_quotient)
 
     p = sub.add_parser("order", parents=[common], help="natural orders, audits, maximal and full sets")
@@ -570,20 +527,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except LoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, payload, lines = args.func(args)
     except MatchMergeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, LoadError) else 1
+    if args.format == "machine":
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    else:
+        sys.stdout.write("\n".join(lines) + "\n")
+    return code
 
 
 def main() -> None:

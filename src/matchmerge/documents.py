@@ -1,7 +1,7 @@
 """Text document formats: groupoid, record, digraph and instance files.
 
-All documents are UTF-8 JSON with fixed key names; the same syntax is used
-by the CLI's machine output, so results round-trip back in as inputs.
+All documents are UTF-8 JSON with fixed key names.  The CLI's ``quotient``
+command writes its quotient in the groupoid syntax, so it loads back as an input.
 """
 
 from __future__ import annotations

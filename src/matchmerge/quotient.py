@@ -47,18 +47,6 @@ class CongruenceClasses:
     representatives: tuple[ElementId, ...]
     word_bound: int
 
-    def class_of(self, element: ElementId) -> tuple[ElementId, ...]:
-        for cls in self.classes:
-            if element in cls:
-                return cls
-        raise KeyError(element)
-
-    def representative_of(self, element: ElementId) -> ElementId:
-        for cls, rep in zip(self.classes, self.representatives):
-            if element in cls:
-                return rep
-        raise KeyError(element)
-
 
 @dataclass(frozen=True)
 class QuotientGroupoid:
@@ -95,7 +83,9 @@ def congruence_classes(
     (it signals the bound was too low for this input, not a bug here).
     """
     _require_word_idempotent(g, nr_word_bound)
-    related = {(p, q) for p, q in g.pairs() if mutually_absorbing(g, p, q)}
+    # p survives the sandwich by q; each ordered pair's word is evaluated once
+    absorbs = {(p, q) for p, q in g.pairs() if word_product(g, (p, q, p)) == frozenset({p})}
+    related = {(p, q) for p, q in absorbs if (q, p) in absorbs}
     for p in g.elements:
         if (p, p) not in related:
             raise CongruenceError("reflexivity", (p,))

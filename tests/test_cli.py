@@ -449,3 +449,94 @@ def test_output_is_deterministic(capsys):
     _, third, _ = invoke(capsys, "order", "fixtures/max10", "--format", "machine")
     _, fourth, _ = invoke(capsys, "order", "fixtures/max10", "--format", "machine")
     assert third == fourth
+
+
+# -- one result per command ----------------------------------------------------
+
+
+def test_er_on_an_exhausted_closure_prints_one_json_object(capsys):
+    argv = ["er", "fixtures/records", "--budget-elements", "3"]
+    code, out, _ = invoke(capsys, *argv, "--format", "machine")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["input"] == "fixtures/records.json"
+    assert payload["closure"]["status"] == "budget_exhausted"
+    assert payload["closure"]["iterations"] == 1
+    assert len(payload["closure"]["carrier"]) == 3
+    assert payload["closure"]["carrier"] == sorted(payload["closure"]["carrier"])
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 1
+    assert out == (
+        "input: fixtures/records.json\n"
+        "closure: budget_exhausted after 1 iterations (3 elements)\n"
+    )
+
+
+def test_inline_instance_names_multi_attribute_records(capsys, tmp_path):
+    from matchmerge.documents import load_records
+
+    ids = [r.canonical_id for r in load_records("fixtures/records.json").records][:2]
+    assert all("," in i for i in ids)
+    code, inline, _ = invoke(capsys, "er", "fixtures/records", "--instance", ",".join(ids))
+    assert code == 0
+    path = _instance_doc(tmp_path, ids)
+    code, from_doc, _ = invoke(capsys, "er", "fixtures/records", "--instance", path)
+    assert code == 0
+    assert inline == from_doc
+    assert "resolved (1):" in inline
+
+
+@pytest.mark.parametrize("flag", ["--budget-elements", "--budget-rounds"])
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_budget_below_one_exits_two(capsys, flag, value):
+    code, out, err = invoke(capsys, "closure", "fixtures/chain12", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.endswith(f"argument {flag}: budget must be at least 1, got {value}\n")
+
+
+SURFACE = [
+    ["check"],
+    ["closure"],
+    ["closure", "--budget-elements", "3"],
+    *(["er", "--method", m] for m in ("auto", "bruteforce", "full", "maximal", "rswoosh")),
+    ["er", "--budget-elements", "3"],
+    ["graph", "--components", "--clique-cover"],
+    ["quotient"],
+    ["order"],
+]
+
+
+def test_every_command_prints_one_result(capsys):
+    from pathlib import Path
+
+    fixtures = sorted(str(p.with_suffix("")) for p in Path("fixtures").glob("*.json"))
+    assert len(fixtures) == 11
+    runs = [[command, fixture, *rest] for command, *rest in SURFACE for fixture in fixtures]
+    for argv in runs + [["fixtures"]]:
+        code, out, err = invoke(capsys, *argv, "--format", "machine")
+        text_code, text_out, text_err = invoke(capsys, *argv)
+        assert code == text_code, argv
+        assert (out == "") == (text_out == "") and err == text_err, argv
+        if code == 2 or err:
+            # malformed input or a domain error: reported on stderr only
+            assert out == "" and err.startswith("error: "), argv
+            continue
+        assert code in (0, 1), argv
+        assert isinstance(json.loads(out), dict), argv
+
+
+def test_run_builds_no_parser(capsys, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(["fixtures"]) == 0
+    assert run(["check", "unit", "--format", "machine"]) == 0
+    assert built == []

@@ -262,3 +262,26 @@ def test_failed_quotient_is_not_stored(q2):
         with pytest.raises(HypothesesNotSatisfiedError):
             quotient(q2)
     assert not any(isinstance(key, tuple) and key[0] == "quotient" for key in q2._derived)
+
+
+@pytest.mark.parametrize("spec, words", [(("maxnat", 10), 100), (("leftzero2", None), 4)])
+def test_each_sandwich_is_evaluated_once(monkeypatch, spec, words):
+    from matchmerge.adapters import builtin
+
+    quotient_module = importlib.import_module("matchmerge.quotient")
+    g = builtin(*spec)
+    expected = tuple(
+        tuple(q for q in g.elements if mutually_absorbing(g, p, q)) for p in g.elements
+    )
+    calls = []
+    original = quotient_module.word_product
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quotient_module, "word_product", counting)
+    classes = congruence_classes(g)
+    # one word p q p per ordered pair, not p q p and q p q for both orders
+    assert len(calls) == words == len(g) ** 2
+    assert classes.classes == tuple(dict.fromkeys(expected))
