@@ -6,8 +6,9 @@ suffix) or built-in fixture names like ``p1`` or ``chain:12``.  Output is
 deterministic byte-for-byte for identical inputs and flags.  Each command
 returns one result: an exit code, a machine payload and text lines, and
 ``--format machine`` prints the payload as one JSON object, budget
-exhaustion included.  Only ``quotient``'s ``quotient`` member is a groupoid
-document the loaders accept.
+exhaustion and domain errors (``{"error": {"type", "message"}}``) included.
+Only ``quotient``'s ``quotient`` member is a groupoid document the loaders
+accept.
 
 Exit codes: 0 success, 1 structured domain outcomes (budget exhaustion,
 unmet hypotheses), 2 malformed input.
@@ -539,10 +540,14 @@ def run(argv=None) -> int:
         code, payload, lines = args.func(args)
     except MatchMergeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, LoadError) else 1
+        if isinstance(exc, LoadError):
+            return 2
+        # a domain error is still one result in machine output; text stays empty
+        code, lines = 1, None
+        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     if args.format == "machine":
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
+    elif lines is not None:
         sys.stdout.write("\n".join(lines) + "\n")
     return code
 

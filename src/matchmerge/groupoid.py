@@ -344,8 +344,26 @@ def product_of_subsets(
 
 
 def word_product(groupoid: FiniteGroupoid, word: Sequence[ElementId]) -> frozenset[ElementId]:
-    """Product of a word of single elements (each factor a singleton)."""
-    return product_of_subsets(groupoid, [{w} for w in word])
+    """Product of a word of single elements (each factor a singleton).
+
+    Under strong associativity every bracketing of a word has the same value
+    or none is defined, so the product is the word's left fold: k - 1
+    lookups, empty at the first undefined step.  The fold is used when a
+    passing SA verdict is already stored on ``groupoid``; otherwise the
+    product comes from the interval pass, so this never starts a triple scan.
+    """
+    # "SA" is the str enum Property.STRONGLY_ASSOCIATIVE; a verdict is truthy when it holds
+    if not groupoid._derived.get("SA"):
+        return product_of_subsets(groupoid, [{w} for w in word])
+    word = groupoid.require_all(word)
+    if not word:
+        raise ValueError("product needs at least one factor")
+    value = word[0]
+    for w in word[1:]:
+        value = groupoid.table.get((value, w))
+        if value is None:
+            return frozenset()
+    return frozenset({value})
 
 
 def irreducible_generating_set(

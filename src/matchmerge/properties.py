@@ -4,6 +4,14 @@ Each family of laws is decided by one scan of the whole carrier (elements,
 pairs, triples, or bounded words) in carrier order, which reports the first
 violation of each law as a replayable witness, so two runs on the same input
 always return the same verdict.
+
+Idempotence and strong associativity together imply word idempotence (NR)
+at every bound.  Under SA both groupings of any three factors are defined
+and equal, or both undefined; rotating one subterm at a time turns any
+bracketing of a word into the left-nested one without changing its value,
+so a word's product is its left fold or nothing.  When the fold of w is v,
+the bracketing (w)(w) of w ++ w gives v v = v by I.  NR is therefore
+decided from I and SA first, and only the remaining tables pay for words.
 """
 
 from __future__ import annotations
@@ -187,15 +195,22 @@ def _word_idempotence_witness(g: FiniteGroupoid, bound: int):
     """NR: doubling a word does not change its (non-empty) product set.
 
     A word w violates the law when product(w) is non-empty but
-    product(w ++ w) differs from it.  Each word of length k makes one pass
-    over the factors of w ++ w: product(w) is the prefix product after k
-    factors, the pass stops there when it is empty, and product(w ++ w) is
-    the last.  This is an infinite scheme; a pass is always relative to the
-    word-length bound.
+    product(w ++ w) differs from it.  At length 1 the law is exactly I, so
+    a failing I gives the first witness ``(p,)``; when SA holds as well NR
+    holds at every bound (see the module docstring).  Otherwise each word
+    of length 2 and up makes one pass over the factors of w ++ w:
+    product(w) is the prefix product after k factors, the pass stops there
+    when it is empty, and product(w ++ w) is the last.  This is an infinite
+    scheme; a pass is always relative to the word-length bound.
     """
     if bound < 1:
         raise ValueError("word bound must be at least 1")
-    for k in range(1, bound + 1):
+    idempotent = check_property(g, Property.IDEMPOTENT)
+    if not idempotent.holds:
+        return idempotent.witness
+    if check_property(g, Property.STRONGLY_ASSOCIATIVE).holds:
+        return None
+    for k in range(2, bound + 1):
         for word in itertools.product(g.elements, repeat=k):
             products = _prefix_products(g, [{w} for w in word + word])
             once = next(itertools.islice(products, k - 1, None))
@@ -211,10 +226,10 @@ def check_property(
 
     The laws are decided by family, one scan each: I over elements; S, C
     and SC over pairs; Rl, Rr and R over defined pairs and a third element;
-    A, CA and SA over triples; NR over words up to ``nr_word_bound``, per
-    bound.  The first request for any law of a family runs its scan and
-    stores every verdict of the family on ``g``; later requests on the same
-    object read the stored verdict.  This relies on ``g.table`` never
+    A, CA and SA over triples; NR from I and SA, else over words up to
+    ``nr_word_bound``, per bound.  The first request for any law of a
+    family runs its scan and stores every verdict of the family on ``g``;
+    later requests on the same object read the stored verdict.  This relies on ``g.table`` never
     changing after construction.
     """
     prop = Property(prop)

@@ -77,10 +77,11 @@ def congruence_classes(
 ) -> CongruenceClasses:
     """Partition the carrier by mutual absorption, verifying every law.
 
-    Word idempotence up to the bound is a precondition.  Reflexivity,
-    symmetry, transitivity and compatibility with composition are then
-    checked exhaustively; a failure is reported as a structured violation
-    (it signals the bound was too low for this input, not a bug here).
+    Word idempotence up to the bound is a precondition.  The relation is
+    symmetric by construction; reflexivity, transitivity and compatibility
+    with composition are then checked exhaustively, and a failure is
+    reported as a structured violation (it signals the bound was too low
+    for this input, not a bug here).
     """
     _require_word_idempotent(g, nr_word_bound)
     # p survives the sandwich by q; each ordered pair's word is evaluated once
@@ -89,9 +90,6 @@ def congruence_classes(
     for p in g.elements:
         if (p, p) not in related:
             raise CongruenceError("reflexivity", (p,))
-    for p, q in related:
-        if (q, p) not in related:
-            raise CongruenceError("symmetry", (p, q))
     for p, q, r in g.triples():
         if (p, q) in related and (q, r) in related and (p, r) not in related:
             raise CongruenceError("transitivity", (p, q, r))

@@ -318,7 +318,17 @@ def naive_clique_cover(g: FiniteGroupoid) -> list:
     return out
 
 
-# -- random generators ---------------------------------------------------------
+# -- generators ----------------------------------------------------------------
+
+
+def idempotent_tables(elements=("a", "b", "c")):
+    """Every table on ``elements`` with ``p.p = p`` and any off-diagonal
+    entries, each undefined or one of the elements (4096 on three)."""
+    off = [(p, q) for p in elements for q in elements if p != q]
+    for values in cartesian((None, *elements), repeat=len(off)):
+        table = {(p, p): p for p in elements}
+        table.update((pq, v) for pq, v in zip(off, values) if v is not None)
+        yield FiniteGroupoid(elements, table)
 
 
 def random_groupoid(

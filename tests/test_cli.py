@@ -513,17 +513,41 @@ def test_every_command_prints_one_result(capsys):
     fixtures = sorted(str(p.with_suffix("")) for p in Path("fixtures").glob("*.json"))
     assert len(fixtures) == 11
     runs = [[command, fixture, *rest] for command, *rest in SURFACE for fixture in fixtures]
+    domain_errors = 0
     for argv in runs + [["fixtures"]]:
         code, out, err = invoke(capsys, *argv, "--format", "machine")
         text_code, text_out, text_err = invoke(capsys, *argv)
-        assert code == text_code, argv
-        assert (out == "") == (text_out == "") and err == text_err, argv
-        if code == 2 or err:
-            # malformed input or a domain error: reported on stderr only
-            assert out == "" and err.startswith("error: "), argv
+        assert code == text_code and err == text_err, argv
+        if code == 2:
+            # malformed input: reported on stderr only
+            assert out == text_out == "" and err.startswith("error: "), argv
             continue
         assert code in (0, 1), argv
-        assert isinstance(json.loads(out), dict), argv
+        payload = json.loads(out)
+        assert isinstance(payload, dict), argv
+        if err:
+            # a domain error: on stderr, and as one error object in machine output
+            assert err.startswith("error: ") and text_out == "", argv
+            assert code == 1 and set(payload) == {"error"}, argv
+            assert err == f"error: {payload['error']['message']}\n", argv
+            domain_errors += 1
+        else:
+            assert text_out != "", argv
+    assert domain_errors == 12
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["quotient", "fixtures/q2"], "HypothesesNotSatisfiedError"),
+        (["er", "fixtures/p1", "--method", "maximal"], "HypothesesNotSatisfiedError"),
+    ],
+)
+def test_domain_error_is_one_machine_result(capsys, argv, error):
+    code, out, err = invoke(capsys, *argv, "--format", "machine")
+    assert code == 1
+    assert err.startswith("error: ")
+    assert json.loads(out) == {"error": {"type": error, "message": err[len("error: ") : -1]}}
 
 
 def test_run_builds_no_parser(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,13 @@ from matchmerge import (
     word_product,
 )
 from conftest import chaining_records, finite_fixture_suite, materialized_records
-from helpers import first_nr_violation, first_violations, random_groupoid
+from helpers import (
+    first_nr_violation,
+    first_violations,
+    idempotent_tables,
+    parenthesization_products,
+    random_groupoid,
+)
 
 P = Property
 
@@ -258,6 +265,48 @@ def test_word_idempotence_matches_the_parenthesization_oracle():
     assert lengths == {None, 1, 2, 3}
 
 
+def _assert_nr_matches_oracle(g, bound):
+    witness = first_nr_violation(g, bound)
+    verdict = check_property(g, P.WORD_IDEMPOTENT, bound)
+    assert (verdict.holds, verdict.witness) == (witness is None, witness), (bound, g.table)
+
+
+def test_word_idempotence_on_every_idempotent_three_element_table():
+    # I holds on each, so the verdict comes from SA or from words of length 2
+    sa_tables = []
+    for g in idempotent_tables():
+        _assert_nr_matches_oracle(g, 2)
+        if check_property(g, P.STRONGLY_ASSOCIATIVE).holds:
+            sa_tables.append(g)
+    assert len(sa_tables) == 51
+    for g in sa_tables:
+        _assert_nr_matches_oracle(g, 3)
+        assert check_property(g, P.WORD_IDEMPOTENT, 3).holds
+        # with SA stored, word products are folds, and they match every grouping
+        for word in itertools.product(g.elements, repeat=3):
+            assert word_product(g, word) == parenthesization_products(g, [{w} for w in word])
+
+
+def test_word_idempotence_needs_strong_associativity_not_associativity():
+    # I and A but not SA: (a d) b = d b = c, while a (d b) = a c is undefined,
+    # so the word a d b has product {c} and its doubling's differs
+    g = FiniteGroupoid(
+        ("a", "b", "c", "d"),
+        {
+            ("a", "a"): "a", ("a", "d"): "d", ("b", "b"): "b", ("b", "d"): "b",
+            ("c", "a"): "b", ("c", "c"): "c", ("d", "b"): "c", ("d", "d"): "d",
+        },
+    )
+    assert check_property(g, P.IDEMPOTENT).holds
+    assert check_property(g, P.ASSOCIATIVE).holds
+    assert not check_property(g, P.STRONGLY_ASSOCIATIVE).holds
+    _assert_nr_matches_oracle(g, 3)
+    assert check_property(g, P.WORD_IDEMPOTENT, 3).witness == ("a", "d", "b")
+    # d (c a) = d b = c although d c is undefined: not a left fold
+    assert word_product(g, ("d", "c", "a")) == parenthesization_products(g, [{"d"}, {"c"}, {"a"}])
+    assert word_product(g, ("d", "c", "a")) == {"c"}
+
+
 def test_word_idempotence_makes_one_pass_per_word(monkeypatch):
     import matchmerge.properties as properties
 
@@ -269,8 +318,14 @@ def test_word_idempotence_makes_one_pass_per_word(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(properties, "_prefix_products", counting)
+    # I and not SA: length 1 is settled by I, then one pass per longer word,
+    # not one per word and one per doubling
+    assert check_property(builtin("uchain", 4), P.WORD_IDEMPOTENT, 3).holds
+    assert len(calls) == 4**2 + 4**3
+    # I and SA settle NR at every bound without a pass
+    calls.clear()
     assert check_property(builtin("maxnat", 4), P.WORD_IDEMPOTENT, 3).holds
-    assert len(calls) == 4 + 4**2 + 4**3  # once per word, not once per word and doubling
+    assert calls == []
 
 
 def test_word_idempotence_universe_mentions_bound(p1):

@@ -304,8 +304,11 @@ def test_icar_dispatch_evaluates_no_word_products(monkeypatch, capsys):
     g = builtin("maxnat", 5)
     assert r_swoosh(g, g.elements).resolved == ("4",)
     assert calls == []
-    # the counter sees the word products that NR itself evaluates
+    # NR on this I and SA table needs no word products either
     assert check_property(g, Property.WORD_IDEMPOTENT).holds
+    assert calls == []
+    # the counter sees the word products that NR evaluates on a table that is not SA
+    assert check_property(builtin("uchain", 4), Property.WORD_IDEMPOTENT).holds
     assert calls
 
 
