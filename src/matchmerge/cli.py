@@ -24,7 +24,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import adapters, documents, domaingraph
-from .errors import LoadError, MatchMergeError, NotPartialOrderError
+from .errors import (
+    DomainNotSymmetricError,
+    LoadError,
+    MatchMergeError,
+    NotPartialOrderError,
+    UnknownFixtureError,
+)
 from .groupoid import BlackBoxGroupoid, Budget, FiniteGroupoid
 from .order import (
     OrderRelation,
@@ -52,15 +58,18 @@ from .resolution import (
 @dataclass
 class CliInput:
     label: str
-    groupoid: FiniteGroupoid | None = None
+    host: FiniteGroupoid | BlackBoxGroupoid
+    members: tuple  # the carrier ids, or the records of a records document
     order_pairs: tuple | None = None
-    blackbox: BlackBoxGroupoid | None = None
-    records: tuple | None = None
+
+    @property
+    def records(self) -> bool:
+        return isinstance(self.host, BlackBoxGroupoid)
 
     def finite(self, budget: Budget) -> FiniteGroupoid:
-        if self.groupoid is not None:
-            return self.groupoid
-        return adapters.materialize(self.blackbox, self.records, budget)
+        if self.records:
+            return adapters.materialize(self.host, self.members, budget)
+        return self.host
 
 
 def _resolve_input(spec: str) -> CliInput:
@@ -68,59 +77,49 @@ def _resolve_input(spec: str) -> CliInput:
         if candidate.is_file():
             doc = documents.load_document(candidate)
             if isinstance(doc, documents.GroupoidDocument):
-                return CliInput(str(candidate), doc.groupoid, doc.order_pairs)
-            return CliInput(
-                str(candidate),
-                blackbox=adapters.record_groupoid(doc.key_attributes),
-                records=doc.records,
-            )
+                g = doc.groupoid
+                return CliInput(str(candidate), g, g.elements, doc.order_pairs)
+            host = adapters.record_groupoid(doc.key_attributes)
+            return CliInput(str(candidate), host, doc.records)
     name, _, size = spec.partition(":")
     try:
         fixture = adapters.builtin(name, int(size) if size else None)
     except ValueError as exc:
         raise LoadError(spec, f"bad fixture size {size!r}") from exc
-    except MatchMergeError:
-        raise LoadError(spec, "no such file or fixture") from None
-    return CliInput(f"builtin:{spec}", fixture)
+    except UnknownFixtureError as exc:
+        # a known name with a wrong size says what is wrong with the size
+        message = str(exc) if name.lower() in adapters.BUILTINS else "no such file or fixture"
+        raise LoadError(spec, message) from None
+    return CliInput(f"builtin:{spec}", fixture, fixture.elements)
 
 
 def _parse_instance(arg: str | None, loaded: CliInput):
     """Instance members: a comma-separated id list, an instance document
     path, or (by default) everything in the input."""
     if arg is None:
-        if loaded.records is not None:
-            return list(loaded.records)
-        return list(loaded.groupoid.elements)
+        return list(loaded.members)
     for candidate in (Path(arg), Path(arg + ".json")):
         if candidate.is_file():
             doc = documents.load_instance(candidate)
             if doc.records is None:
                 ids = list(doc.element_ids)
-            elif loaded.records is None:
+            elif not loaded.records:
                 raise LoadError(arg, "record instance given for a groupoid input")
             else:
                 return list(doc.records)
             break
     else:
         # a record id is compact JSON: split records only between "}" and "{"
-        separator = r"(?<=\}),(?=\{)" if loaded.records is not None else ","
+        separator = r"(?<=\}),(?=\{)" if loaded.records else ","
         ids = [part for part in re.split(separator, arg) if part]
         if not ids:
             raise LoadError(arg, "empty instance")
-    if loaded.records is not None:
-        by_id = {r.canonical_id: r for r in loaded.records}
-        missing = [i for i in ids if i not in by_id]
-        if missing:
-            raise LoadError(arg, f"instance ids not among the input records: {missing}")
-        return [by_id[i] for i in ids]
-    unknown = [i for i in ids if i not in loaded.groupoid]
-    if unknown:
-        raise LoadError(arg, f"instance ids outside the carrier: {unknown}")
-    return ids
-
-
-def _target(loaded: CliInput):
-    return loaded.blackbox if loaded.blackbox is not None else loaded.groupoid
+    by_id = {loaded.host.key(m): m for m in loaded.members}
+    missing = [i for i in ids if i not in by_id]
+    if missing:
+        where = "not among the input records" if loaded.records else "outside the carrier"
+        raise LoadError(arg, f"instance ids {where}: {missing}")
+    return [by_id[i] for i in ids]
 
 
 def _fmt_witness(witness) -> str:
@@ -189,7 +188,7 @@ def _cmd_check(args):
 def _cmd_closure(args):
     loaded = _resolve_input(args.input)
     members = _parse_instance(args.instance, loaded)
-    result = merge_closure(_target(loaded), members, _budget(args))
+    result = merge_closure(loaded.host, members, _budget(args))
     carrier = sorted(result.carrier)
     payload = {
         "input": loaded.label,
@@ -219,10 +218,8 @@ def _cmd_closure(args):
 def _cmd_er(args):
     loaded = _resolve_input(args.input)
     budget = _budget(args)
-    members = _parse_instance(args.instance, loaded)
-    target = _target(loaded)
-    instance = Instance.over(target, members)
-    closure = merge_closure(target, instance, budget)
+    instance = Instance.over(loaded.host, _parse_instance(args.instance, loaded))
+    closure = merge_closure(loaded.host, instance, budget)
     payload = {
         "input": loaded.label,
         "closure": {"status": closure.status, "carrier": sorted(closure.carrier)},
@@ -255,8 +252,9 @@ def _cmd_er(args):
         trail.append(f"{note} -> {method}")
 
     if method == "rswoosh":
-        swoosh_target = loaded.blackbox if loaded.blackbox is not None else closure.groupoid
-        result = r_swoosh(swoosh_target, instance, budget)
+        # a table input is resolved over its closure, and ICAR is checked there
+        host = loaded.host if loaded.records else closure.groupoid
+        result = r_swoosh(host, instance, budget)
     else:
         resolvers = {"maximal": er_maximal, "bruteforce": er_bruteforce, "full": er_full}
         result = resolvers[method](closure)
@@ -300,7 +298,7 @@ def _cmd_graph(args):
             f"total: {_yesno(totality.total)}"
             + (f" (missing {_fmt_witness(totality.missing)})" if totality.missing else "")
         )
-    except MatchMergeError:
+    except DomainNotSymmetricError:
         payload["total"] = None
         lines.append("total: n/a (domain not symmetric)")
     if args.components:

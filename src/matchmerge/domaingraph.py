@@ -133,7 +133,6 @@ def is_total(g: FiniteGroupoid) -> TotalityReport:
             break
     dg = domain_graph(g)
     undirected = dg.symmetric_view
-    index = {e: i for i, e in enumerate(g.elements)}
     graph_complete = all(
         (x, y) in undirected
         for i, x in enumerate(g.elements)

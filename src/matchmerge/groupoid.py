@@ -5,6 +5,8 @@ some ordered pairs (its domain).  ``FiniteGroupoid`` stores the table
 explicitly, which is what the exhaustive audits in the rest of the library
 work on; ``BlackBoxGroupoid`` wraps a match predicate and a merge function
 over an open universe and is bridged to explicit tables by budgeted closure.
+Both are hosts: they answer ``match``, ``merge`` and ``key``, and closure
+and resolution read only those three names.
 
 All operations here are pure functions of immutable inputs.
 """
@@ -104,6 +106,20 @@ class FiniteGroupoid:
     def require_all(self, elements: Iterable[ElementId]) -> tuple[ElementId, ...]:
         return tuple(self.require(e) for e in elements)
 
+    # -- the host protocol shared with BlackBoxGroupoid --------------------
+    def match(self, x: ElementId, y: ElementId) -> bool:
+        """Is (x, y) in the domain?  Ids outside the carrier never match.
+
+        Reads through ``table.get``, so a table that counts its lookups
+        counts every match."""
+        return self.table.get((x, y)) is not None
+
+    def merge(self, x: ElementId, y: ElementId) -> ElementId:
+        """The table entry of a matching pair."""
+        return self.table[(x, y)]
+
+    key = require  # an element is its own id; a foreign one raises
+
     # -- composition -------------------------------------------------------
     @property
     def domain(self) -> frozenset[Pair]:
@@ -190,16 +206,17 @@ class ClosureResult:
     """Outcome of closing a seed set under all defined compositions.
 
     ``status`` is ``"closed"`` when a fixed point was reached, or
-    ``"budget_exhausted"`` with the partial carrier otherwise.  ``groupoid``
-    is the restriction of the host to the carrier; ``objects`` maps ids back
-    to black-box values when the host was a black-box groupoid.
+    ``"budget_exhausted"`` with the partial carrier otherwise.  ``objects``
+    maps every carrier id back to its value: a black-box value, or the id
+    itself on an explicit host.
 
-    A black-box host's table is the one the closure recorded as it composed,
-    each ordered pair at most once.  When closed, that is every pair of the
-    carrier, so the table is the full restriction.  On budget exhaustion it
-    holds the compositions evaluated before the stop whose value lies in the
-    partial carrier; pairs never composed, and the composition that broke
-    the budget, are absent.
+    Every host's table is the one the closure recorded as it composed, each
+    ordered pair at most once.  When closed, that is every pair of the
+    carrier, so the table is the host's restriction to the carrier.  On
+    budget exhaustion it holds the compositions evaluated before the stop
+    whose value lies in the partial carrier; pairs never composed, and the
+    composition that broke the budget, are absent.  An explicit host's own
+    restriction to a partial carrier is ``host.restrict(result.carrier)``.
     """
 
     status: str
@@ -207,14 +224,14 @@ class ClosureResult:
     groupoid: FiniteGroupoid
     iterations: int
     budget: Budget
-    objects: Mapping[ElementId, object] | None = None
+    objects: Mapping[ElementId, object]
 
     @property
     def closed(self) -> bool:
         return self.status == CLOSED
 
 
-def _close_under_composition(compose, key, seeds, budget):
+def _close_under_composition(host, seeds, budget):
     """Fixed-point worklist shared by all closure entry points.
 
     Seeds are deduplicated by key and sorted; each round composes every pair
@@ -225,6 +242,7 @@ def _close_under_composition(compose, key, seeds, budget):
     run, and the table ``(xid, yid) -> zid`` of the compositions evaluated
     whose value is in the carrier.
     """
+    match, merge, key = host.match, host.merge, host.key
     items: dict[ElementId, object] = {}
     for obj in sorted(seeds, key=key):
         items.setdefault(key(obj), obj)
@@ -246,9 +264,9 @@ def _close_under_composition(compose, key, seeds, budget):
             for yid, y in snapshot:
                 if rounds > 1 and xid not in recent and yid not in recent:
                     continue
-                z = compose(x, y)
-                if z is None:
+                if not match(x, y):
                     continue
+                z = merge(x, y)
                 zid = key(z)
                 if zid not in items and zid not in fresh:
                     if len(items) + len(fresh) >= budget.max_elements:
@@ -281,20 +299,11 @@ def generated_subgroupoid(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seed set must be non-empty")
-    if isinstance(groupoid, FiniteGroupoid):
-        groupoid.require_all(seeds)
-        status, items, rounds, _ = _close_under_composition(
-            lambda x, y: groupoid.table.get((x, y)), lambda e: e, seeds, budget
-        )
-        carrier = tuple(items)
-        return ClosureResult(status, carrier, groupoid.restrict(carrier), rounds, budget)
-
-    status, items, rounds, table = _close_under_composition(
-        groupoid.compose, groupoid.key, seeds, budget
-    )
+    status, items, rounds, table = _close_under_composition(groupoid, seeds, budget)
     carrier = tuple(items)
-    restricted = FiniteGroupoid(carrier, table)
-    return ClosureResult(status, carrier, restricted, rounds, budget, dict(items))
+    return ClosureResult(
+        status, carrier, FiniteGroupoid(carrier, table), rounds, budget, items
+    )
 
 
 def _prefix_products(

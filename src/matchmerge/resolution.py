@@ -62,10 +62,7 @@ class Instance:
 
     @classmethod
     def over(cls, groupoid: FiniteGroupoid | BlackBoxGroupoid, members: Iterable) -> "Instance":
-        if isinstance(groupoid, FiniteGroupoid):
-            objects = {groupoid.require(m): m for m in members}
-        else:
-            objects = {groupoid.key(m): m for m in members}
+        objects = {groupoid.key(m): m for m in members}
         return cls(tuple(sorted(objects)), objects)
 
 
@@ -92,8 +89,7 @@ def merge_closure(
 ) -> ClosureResult:
     """Close an instance under every defined pairwise composition."""
     inst = _as_instance(groupoid, instance)
-    seeds = inst.ids if isinstance(groupoid, FiniteGroupoid) else inst.objects.values()
-    return generated_subgroupoid(groupoid, seeds, budget)
+    return generated_subgroupoid(groupoid, inst.objects.values(), budget)
 
 
 def _require_closed(closure: ClosureResult) -> FiniteGroupoid:
@@ -167,16 +163,6 @@ def er_maximal(closure: ClosureResult) -> ERResult:
     return ERResult("maximal", resolved, "maximal elements under the natural order")
 
 
-def _swoosh_interface(groupoid):
-    if isinstance(groupoid, FiniteGroupoid):
-        return (
-            lambda x, y: (x, y) in groupoid.table,
-            lambda x, y: groupoid.table[(x, y)],
-            lambda e: e,
-        )
-    return groupoid.match, groupoid.merge, groupoid.key
-
-
 def r_swoosh(
     groupoid: FiniteGroupoid | BlackBoxGroupoid,
     instance: Instance | Iterable,
@@ -208,7 +194,7 @@ def r_swoosh(
             "black-box groupoid does not declare the required properties;"
             " materialize a finite closure and verify them first"
         )
-    match, merge, key = _swoosh_interface(groupoid)
+    match, merge, key = groupoid.match, groupoid.merge, groupoid.key
 
     queue: list[tuple[ElementId, object]] = [(i, inst.objects[i]) for i in inst.ids]
     resolved: dict[ElementId, object] = {}

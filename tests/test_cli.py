@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from matchmerge import domaingraph
 from matchmerge.cli import run
+from matchmerge.errors import InternalInvariantError
 from matchmerge.order import OrderRelation
 
 
@@ -178,6 +180,17 @@ def test_er_on_two_cluster_records(capsys):
 def test_graph_totality_na_for_asymmetric_domain(capsys):
     _, out, _ = invoke(capsys, "graph", "fixtures/p1")
     assert "total: n/a (domain not symmetric)" in out
+
+
+def test_graph_reports_a_checker_bug_as_an_error(capsys, monkeypatch):
+    def broken(g):
+        raise InternalInvariantError("totality and graph completeness disagree")
+
+    monkeypatch.setattr(domaingraph, "is_total", broken)
+    code, out, err = invoke(capsys, "graph", "fixtures/max10")
+    assert code == 1
+    assert out == ""
+    assert err == "error: totality and graph completeness disagree\n"
 
 
 def test_graph_totality_for_symmetric_fixture(capsys):
@@ -372,9 +385,19 @@ def test_fixtures_listing(capsys):
 
 
 def test_missing_input_exits_two(capsys):
-    code, _, err = invoke(capsys, "check", "no/such/file")
-    assert code == 2
-    assert "no such file or fixture" in err
+    # a known fixture with a bad size says what is wrong with the size
+    for spec, message in (
+        ("no/such/file", "no such file or fixture"),
+        ("nosuch", "no such file or fixture"),
+        ("chain:2", "fixture 'chain' needs size >= 3"),
+        ("maxnat:0", "size must be positive"),
+        ("p1:3", "fixture 'p1' does not take a size"),
+    ):
+        for command in ("check", "closure"):
+            code, out, err = invoke(capsys, command, spec)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {spec}: {message}\n"
 
 
 def test_malformed_document_exits_two(capsys, tmp_path):

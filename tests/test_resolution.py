@@ -10,6 +10,8 @@ from matchmerge import (
     BlackBoxGroupoid,
     Budget,
     BudgetExhaustedError,
+    FiniteGroupoid,
+    ForeignElementError,
     HypothesesNotSatisfiedError,
     IcarViolationError,
     Instance,
@@ -21,14 +23,20 @@ from matchmerge import (
     er_bruteforce,
     er_full,
     er_maximal,
+    generated_subgroupoid,
     merge_closure,
     property_report,
     r_swoosh,
     record_groupoid,
 )
 from matchmerge.cli import run as run_cli
-from conftest import cluster_records, finite_fixture_suite, two_cluster_records
-from helpers import naive_merge_closure, random_record_instance
+from conftest import (
+    cluster_records,
+    finite_fixture_suite,
+    materialized_records,
+    two_cluster_records,
+)
+from helpers import naive_merge_closure, random_groupoid, random_record_instance
 
 
 # -- merge closure -----------------------------------------------------------------
@@ -71,22 +79,93 @@ def test_record_closure_matches_each_ordered_pair_once(record_bb):
     }
 
 
-def test_exhausted_record_closure_keeps_the_compositions_it_evaluated(record_bb):
+def test_exhausted_record_closure_keeps_the_compositions_it_evaluated(record_bb, monkeypatch):
     # five records sharing a key value close to 31 unions; ten fit the budget
     records = [Record.of(name={"ann"}, **{f"src{i}": {f"r{i}"}}) for i in range(5)]
     counted, asked = _asking(record_bb)
-    closure = merge_closure(counted, records, Budget(max_elements=10))
-    assert closure.status == "budget_exhausted"
-    inside = set(closure.carrier)
-    assert len(inside) == 10
-    assert len({(x, y) for x, y, _ in asked}) == len(asked)
-    table = closure.groupoid.table
-    assert table == {(x, y): z for x, y, z in asked if z is not None and z in inside}
-    # the composition that broke the budget was evaluated but is not kept
-    assert any(z is not None and z not in inside for _, _, z in asked)
-    # every record merges with itself to itself, yet late elements have no
-    # loop in the table: the closure stopped before composing them
-    assert any((x, x) not in table for x in inside)
+    runs = [(counted, records, asked)]
+    # explicit hosts keep the same table, logged through the class's match
+    table_asked = []
+    table_match = FiniteGroupoid.match
+
+    def match(g, x, y):
+        hit = table_match(g, x, y)
+        table_asked.append((x, y, g.merge(x, y) if hit else None))
+        return hit
+
+    monkeypatch.setattr(FiniteGroupoid, "match", match)
+    runs += [(builtin(name, 50), ["a1", "a2"], table_asked) for name in ("chain", "uchain")]
+
+    for host, seeds, log in runs:
+        log.clear()
+        closure = merge_closure(host, seeds, Budget(max_elements=10))
+        assert closure.status == "budget_exhausted"
+        inside = set(closure.carrier)
+        assert len(inside) == 10
+        assert len({(x, y) for x, y, _ in log}) == len(log)
+        table = closure.groupoid.table
+        assert table == {(x, y): z for x, y, z in log if z is not None and z in inside}
+        # the composition that broke the budget was evaluated but is not kept
+        assert any(z is not None and z not in inside for _, _, z in log)
+        # late elements have no loop in the table, though every record and
+        # every uchain element composes with itself: the closure stopped
+        # before composing them
+        assert any((x, x) not in table for x in inside)
+
+
+def _as_blackbox(g, declares_icar=False):
+    """A table behind black-box rules: match is membership, merge the lookup
+    and key the identity."""
+    return BlackBoxGroupoid(
+        match=lambda x, y: (x, y) in g.table,
+        merge=lambda x, y: g.table[(x, y)],
+        key=lambda e: e,
+        declares_icar=declares_icar,
+    )
+
+
+def test_tables_and_blackbox_rules_close_alike():
+    rng = random.Random(8)
+    hosts = list(finite_fixture_suite().values())
+    hosts += [random_groupoid(rng, rng.randint(2, 8), rng.choice((0.2, 0.4))) for _ in range(40)]
+    outcomes = set()
+    for g in hosts:
+        seeds = rng.sample(g.elements, rng.randint(1, len(g)))
+        budgets = (Budget(), Budget(max_elements=len(seeds) + 1), Budget(max_rounds=1))
+        for kind, budget in enumerate(budgets):
+            direct = merge_closure(g, seeds, budget)
+            assert direct == merge_closure(_as_blackbox(g), seeds, budget)
+            assert direct.objects == {e: e for e in direct.carrier}
+            if direct.closed:
+                assert direct.groupoid == g.restrict(direct.carrier)
+            outcomes.add((kind, direct.status))
+    # both tight budgets run out on some hosts and not on others
+    closed, exhausted = "closed", "budget_exhausted"
+    assert outcomes == {(0, closed), (1, closed), (1, exhausted), (2, closed), (2, exhausted)}
+
+
+def test_tables_and_blackbox_rules_resolve_alike(max10, twoblock, unit):
+    rng = random.Random(5)
+    tables = [max10, twoblock, unit]
+    tables += [materialized_records(random_record_instance(rng, 4)) for _ in range(12)]
+    for g in tables:
+        assert property_report(g).is_icar
+        members = rng.sample(g.elements, rng.randint(1, len(g)))
+        direct = r_swoosh(g, members)
+        assert direct == r_swoosh(_as_blackbox(g, declares_icar=True), members)
+
+
+def test_foreign_ids_on_a_table_raise(max10):
+    calls = (
+        lambda: generated_subgroupoid(max10, ["2", "zz"]),
+        lambda: merge_closure(max10, ["2", "zz"]),
+        lambda: merge_closure(max10, Instance(("zz",), {"zz": "zz"})),
+        lambda: Instance.over(max10, ["2", "zz"]),
+        lambda: r_swoosh(max10, ["2", "zz"]),
+    )
+    for call in calls:
+        with pytest.raises(ForeignElementError, match="'zz'"):
+            call()
 
 
 def test_closure_of_chain_instance_exhausts_budget():
