@@ -104,7 +104,6 @@ from .quotient import (
 )
 from .resolution import (
     ERResult,
-    Instance,
     er_bruteforce,
     er_full,
     er_maximal,

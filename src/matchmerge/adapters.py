@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import BudgetExhaustedError, UnknownFixtureError
+from .errors import UnknownFixtureError
 from .groupoid import (
     BlackBoxGroupoid,
     Budget,
     ElementId,
     FiniteGroupoid,
     Pair,
+    _closed_groupoid,
     generated_subgroupoid,
 )
 
@@ -196,14 +197,7 @@ def materialize(
     checkers; exhaustion of the budget is an error here because the caller
     asked for the complete table.
     """
-    result = generated_subgroupoid(blackbox, seed, budget)
-    if not result.closed:
-        raise BudgetExhaustedError(
-            f"closure exceeded the budget after {result.iterations} rounds"
-            f" ({len(result.carrier)} elements)",
-            result,
-        )
-    return result.groupoid
+    return _closed_groupoid(generated_subgroupoid(blackbox, seed, budget))
 
 
 # -- built-in fixtures -------------------------------------------------------
@@ -278,38 +272,27 @@ def _fixture_unit() -> FiniteGroupoid:
     return FiniteGroupoid(("e",), {("e", "e"): "e"})
 
 
-BUILTINS: dict[str, tuple[str, int | None]] = {
-    "p1": ("three chained idempotents; associative but not catenary", None),
-    "q2": ("three elements failing I, SC, A and R", None),
-    "maxnat": ("total max on {0..n-1}", 10),
-    "chain": ("successor chain a_i a_{i+1} = a_{i+2}, no loops", 12),
-    "uchain": ("successor chain with idempotent loops", 12),
-    "twoblock": ("two disjoint idempotents", None),
-    "leftzero2": ("two-element left-absorbing band", None),
-    "unit": ("a single idempotent", None),
-}
-
-_FACTORIES = {
-    "p1": _fixture_p1,
-    "q2": _fixture_q2,
-    "maxnat": _fixture_maxnat,
-    "chain": _fixture_chain,
-    "uchain": _fixture_uchain,
-    "twoblock": _fixture_twoblock,
-    "leftzero2": _fixture_leftzero2,
-    "unit": _fixture_unit,
+# name -> (description, default size or None when unsized, factory)
+BUILTINS: dict[str, tuple[str, int | None, Callable[..., FiniteGroupoid]]] = {
+    "p1": ("three chained idempotents; associative but not catenary", None, _fixture_p1),
+    "q2": ("three elements failing I, SC, A and R", None, _fixture_q2),
+    "maxnat": ("total max on {0..n-1}", 10, _fixture_maxnat),
+    "chain": ("successor chain a_i a_{i+1} = a_{i+2}, no loops", 12, _fixture_chain),
+    "uchain": ("successor chain with idempotent loops", 12, _fixture_uchain),
+    "twoblock": ("two disjoint idempotents", None, _fixture_twoblock),
+    "leftzero2": ("two-element left-absorbing band", None, _fixture_leftzero2),
+    "unit": ("a single idempotent", None, _fixture_unit),
 }
 
 
 def builtin(name: str, size: int | None = None) -> FiniteGroupoid:
     """Construct a built-in fixture; sized families take an element count."""
     key = name.lower()
-    if key not in _FACTORIES:
+    if key not in BUILTINS:
         raise UnknownFixtureError(
             f"unknown fixture {name!r}; available: {', '.join(sorted(BUILTINS))}"
         )
-    _, default_size = BUILTINS[key]
-    factory = _FACTORIES[key]
+    _, default_size, factory = BUILTINS[key]
     if default_size is None:
         if size is not None:
             raise UnknownFixtureError(f"fixture {name!r} does not take a size")

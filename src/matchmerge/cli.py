@@ -46,7 +46,6 @@ from .properties import ICAR, Property, check_property, implication_audit, prope
 from .quotient import class_semigroup_check, quotient, quotient_idempotence_check
 from .resolution import (
     BRUTEFORCE_CARRIER_GUARD,
-    Instance,
     er_bruteforce,
     er_full,
     er_maximal,
@@ -218,8 +217,8 @@ def _cmd_closure(args):
 def _cmd_er(args):
     loaded = _resolve_input(args.input)
     budget = _budget(args)
-    instance = Instance.over(loaded.host, _parse_instance(args.instance, loaded))
-    closure = merge_closure(loaded.host, instance, budget)
+    members = _parse_instance(args.instance, loaded)
+    closure = merge_closure(loaded.host, members, budget)
     payload = {
         "input": loaded.label,
         "closure": {"status": closure.status, "carrier": sorted(closure.carrier)},
@@ -254,7 +253,7 @@ def _cmd_er(args):
     if method == "rswoosh":
         # a table input is resolved over its closure, and ICAR is checked there
         host = loaded.host if loaded.records else closure.groupoid
-        result = r_swoosh(host, instance, budget)
+        result = r_swoosh(host, members, budget)
     else:
         resolvers = {"maximal": er_maximal, "bruteforce": er_bruteforce, "full": er_full}
         result = resolvers[method](closure)
@@ -444,7 +443,7 @@ def _cmd_order(args):
 
 def _cmd_fixtures(args):
     payload, lines = {}, []
-    for name, (desc, size) in sorted(adapters.BUILTINS.items()):
+    for name, (desc, size, _) in sorted(adapters.BUILTINS.items()):
         payload[name] = {"description": desc, "default_size": size}
         sized = f" (sized, default {size})" if size is not None else ""
         lines.append(f"{name:<10} {desc}{sized}")

@@ -12,6 +12,14 @@ class MatchMergeError(Exception):
     """Base class for all structured library errors."""
 
 
+class _WitnessError(MatchMergeError):
+    """An error whose evidence is one replayable witness (``.witness``)."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 class ForeignElementError(MatchMergeError):
     """An element id is not a member of the groupoid's carrier."""
 
@@ -24,12 +32,8 @@ class NotGeneratingSetError(MatchMergeError):
     """The given set does not generate the whole carrier."""
 
 
-class NotHomomorphismError(MatchMergeError):
+class NotHomomorphismError(_WitnessError):
     """The mapping fails the homomorphism condition; carries the witness pair."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class NotPartialOrderError(MatchMergeError):
@@ -40,20 +44,12 @@ class NotPartialOrderError(MatchMergeError):
         self.audit = audit
 
 
-class DomainNotSymmetricError(MatchMergeError):
+class DomainNotSymmetricError(_WitnessError):
     """An operation requiring a symmetric composition domain was refused."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
-
-class DomainNotReflexiveError(MatchMergeError):
+class DomainNotReflexiveError(_WitnessError):
     """An operation requiring (p, p) in the domain for every p was refused."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class HypothesesNotSatisfiedError(MatchMergeError):
@@ -72,13 +68,9 @@ class BudgetExhaustedError(MatchMergeError):
         self.result = result
 
 
-class IcarViolationError(MatchMergeError):
+class IcarViolationError(_WitnessError):
     """A merge rule declared idempotent/commutative/associative/representative
     produced a value contradicting that declaration at runtime."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class CongruenceError(MatchMergeError):
@@ -91,12 +83,8 @@ class CongruenceError(MatchMergeError):
         self.witness = witness
 
 
-class WellDefinednessError(MatchMergeError):
+class WellDefinednessError(_WitnessError):
     """Quotient construction produced class-dependent results."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class InternalInvariantError(MatchMergeError):

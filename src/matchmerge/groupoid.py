@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
+    BudgetExhaustedError,
     ForeignElementError,
     NotGeneratingSetError,
     NotHomomorphismError,
@@ -231,21 +232,40 @@ class ClosureResult:
         return self.status == CLOSED
 
 
-def _close_under_composition(host, seeds, budget):
-    """Fixed-point worklist shared by all closure entry points.
+def _keyed_members(host, members) -> dict[ElementId, object]:
+    """Each member under its key, in key order; the first of equal keys wins.
 
-    Seeds are deduplicated by key and sorted; each round composes every pair
-    with at least one operand discovered in the previous round (all pairs in
-    round one), so no pair is composed twice.  A new element that would push
-    the carrier past ``max_elements`` is dropped and the run reports
-    exhaustion.  Returns the status, the carrier's items by id, the rounds
+    Keys each member once.  Closure and ``r_swoosh`` take their members from
+    here; a foreign id on an explicit host raises ``ForeignElementError``."""
+    keyed: dict[ElementId, object] = {}
+    for m in members:
+        keyed.setdefault(host.key(m), m)
+    return dict(sorted(keyed.items()))  # keys are distinct, so values never compare
+
+
+def _closed_groupoid(closure: ClosureResult) -> FiniteGroupoid:
+    """The closure's table, or ``BudgetExhaustedError`` carrying the closure."""
+    if not closure.closed:
+        raise BudgetExhaustedError(
+            f"closure exceeded the budget after {closure.iterations} rounds"
+            f" ({len(closure.carrier)} elements)",
+            closure,
+        )
+    return closure.groupoid
+
+
+def _close_under_composition(host, items, budget):
+    """Fixed-point worklist of ``generated_subgroupoid``.
+
+    ``items`` are the seeds by key, from ``_keyed_members``.  Each round
+    composes every pair with at least one operand discovered in the previous
+    round (all pairs in round one), so no pair is composed twice.  A new
+    element that would push the carrier past ``max_elements`` is dropped and
+    the run reports exhaustion.  Returns the status, the carrier's items by id, the rounds
     run, and the table ``(xid, yid) -> zid`` of the compositions evaluated
     whose value is in the carrier.
     """
     match, merge, key = host.match, host.merge, host.key
-    items: dict[ElementId, object] = {}
-    for obj in sorted(seeds, key=key):
-        items.setdefault(key(obj), obj)
     table: dict[Pair, ElementId] = {}
     if len(items) > budget.max_elements:
         return BUDGET_EXHAUSTED, items, 0, table
@@ -293,13 +313,14 @@ def generated_subgroupoid(
     """Smallest composition-closed superset of ``seeds``, budget-guarded.
 
     For an explicit groupoid ``seeds`` are element ids; for a black-box one
-    they are universe values.  Budget exhaustion is a structured outcome
-    carrying the partial carrier, not an exception.
+    they are universe values; seeds with equal keys count once.  Budget
+    exhaustion is a structured outcome carrying the partial carrier, not an
+    exception.
     """
-    seeds = list(seeds)
-    if not seeds:
+    items = _keyed_members(groupoid, seeds)
+    if not items:
         raise ValueError("seed set must be non-empty")
-    status, items, rounds, table = _close_under_composition(groupoid, seeds, budget)
+    status, items, rounds, table = _close_under_composition(groupoid, items, budget)
     carrier = tuple(items)
     return ClosureResult(
         status, carrier, FiniteGroupoid(carrier, table), rounds, budget, items

@@ -1,6 +1,10 @@
 """Merge closure of instances and the entity-resolution methods.
 
-Four routes to a resolved set, ordered by how much they assume:
+An instance is just its members: element ids of an explicit groupoid, or
+values of a black-box one.  Its merge closure is the subgroupoid [I] it
+generates, so ``merge_closure`` is ``generated_subgroupoid``; members with
+equal keys count once.  Four routes from the closure to a resolved set,
+ordered by how much they assume:
 
 * ``er_bruteforce`` — subset scan straight from the definition of a minimal
   dominating subset; exponential, guarded, the oracle the others are
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import (
     BudgetExhaustedError,
@@ -27,43 +31,17 @@ from .errors import (
 from .groupoid import (
     BlackBoxGroupoid,
     Budget,
-    CLOSED,
     ClosureResult,
     ElementId,
     FiniteGroupoid,
+    _closed_groupoid,
+    _keyed_members,
     generated_subgroupoid,
 )
 from .order import OrderVariant, full_elements, maximal_elements, natural_order
 from .properties import ICAR, Property, check_property
 
 BRUTEFORCE_CARRIER_GUARD = 20
-
-
-@dataclass(frozen=True)
-class Instance:
-    """A finite, deduplicated set of records to resolve.
-
-    ``ids`` are canonical serializations sorted lexicographically;
-    ``objects`` maps each id back to its value (the id itself for explicit
-    groupoids).
-    """
-
-    ids: tuple[ElementId, ...]
-    objects: Mapping[ElementId, object]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "objects", dict(self.objects))
-        if not self.ids:
-            raise ValueError("instance must be non-empty")
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    @classmethod
-    def over(cls, groupoid: FiniteGroupoid | BlackBoxGroupoid, members: Iterable) -> "Instance":
-        objects = {groupoid.key(m): m for m in members}
-        return cls(tuple(sorted(objects)), objects)
 
 
 @dataclass(frozen=True)
@@ -76,28 +54,8 @@ class ERResult:
         return frozenset(self.resolved)
 
 
-def _as_instance(groupoid, members) -> Instance:
-    if isinstance(members, Instance):
-        return members
-    return Instance.over(groupoid, members)
-
-
-def merge_closure(
-    groupoid: FiniteGroupoid | BlackBoxGroupoid,
-    instance: Instance | Iterable,
-    budget: Budget = Budget(),
-) -> ClosureResult:
-    """Close an instance under every defined pairwise composition."""
-    inst = _as_instance(groupoid, instance)
-    return generated_subgroupoid(groupoid, inst.objects.values(), budget)
-
-
-def _require_closed(closure: ClosureResult) -> FiniteGroupoid:
-    if closure.status != CLOSED:
-        raise BudgetExhaustedError(
-            "closure is not complete; re-run with a larger budget", closure
-        )
-    return closure.groupoid
+# The merge closure of an instance I is the subgroupoid [I] it generates.
+merge_closure = generated_subgroupoid
 
 
 def er_bruteforce(closure: ClosureResult) -> ERResult:
@@ -109,7 +67,7 @@ def er_bruteforce(closure: ClosureResult) -> ERResult:
     one.  Guarded to small carriers: this is an oracle, not a production
     path.
     """
-    g = _require_closed(closure)
+    g = _closed_groupoid(closure)
     carrier = g.elements
     if len(carrier) > BRUTEFORCE_CARRIER_GUARD:
         raise SizeGuardError(
@@ -139,7 +97,7 @@ def er_bruteforce(closure: ClosureResult) -> ERResult:
 
 def er_full(closure: ClosureResult) -> ERResult:
     """Full elements of the closure; no hypotheses needed."""
-    g = _require_closed(closure)
+    g = _closed_groupoid(closure)
     resolved = tuple(sorted(full_elements(g, OrderVariant.BOTH)))
     return ERResult("full", resolved, "left-and-right full elements of the closure")
 
@@ -150,7 +108,7 @@ def er_maximal(closure: ClosureResult) -> ERResult:
     Refuses to run unless idempotence and catenary associativity hold, since
     those are what make the natural order reflexive and transitive.
     """
-    g = _require_closed(closure)
+    g = _closed_groupoid(closure)
     idem = check_property(g, Property.IDEMPOTENT)
     catenary = check_property(g, Property.CATENARY_ASSOCIATIVE)
     failing = [v for v in (idem, catenary) if not v.holds]
@@ -165,7 +123,7 @@ def er_maximal(closure: ClosureResult) -> ERResult:
 
 def r_swoosh(
     groupoid: FiniteGroupoid | BlackBoxGroupoid,
-    instance: Instance | Iterable,
+    instance: Iterable,
     budget: Budget = Budget(),
 ) -> ERResult:
     """Record-at-a-time worklist resolver.
@@ -173,7 +131,8 @@ def r_swoosh(
     Pops a record; if it matches anything already resolved, the partner is
     un-resolved and their merge is queued, otherwise the record is resolved.
     Sequential by design (its correctness argument is sequential), FIFO over
-    ids sorted lexicographically, so runs are reproducible.
+    ids sorted lexicographically, so runs are reproducible.  ``instance`` is
+    the members themselves, as for ``merge_closure``.
 
     Requires the idempotent/strongly-commutative/associative/representative
     package: verified on explicit groupoids, or declared by construction by
@@ -181,7 +140,9 @@ def r_swoosh(
     the declaration and aborts with a witness.  ``budget.max_elements``
     bounds the total number of merges.
     """
-    inst = _as_instance(groupoid, instance)
+    members = _keyed_members(groupoid, instance)
+    if not members:
+        raise ValueError("instance must be non-empty")
     if isinstance(groupoid, FiniteGroupoid):
         failing = [v for v in (check_property(groupoid, p) for p in ICAR) if not v.holds]
         if failing:
@@ -196,7 +157,7 @@ def r_swoosh(
         )
     match, merge, key = groupoid.match, groupoid.merge, groupoid.key
 
-    queue: list[tuple[ElementId, object]] = [(i, inst.objects[i]) for i in inst.ids]
+    queue: list[tuple[ElementId, object]] = list(members.items())
     resolved: dict[ElementId, object] = {}
     merges = 0
     cursor = 0

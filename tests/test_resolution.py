@@ -14,7 +14,6 @@ from matchmerge import (
     ForeignElementError,
     HypothesesNotSatisfiedError,
     IcarViolationError,
-    Instance,
     Property,
     Record,
     SizeGuardError,
@@ -24,6 +23,7 @@ from matchmerge import (
     er_full,
     er_maximal,
     generated_subgroupoid,
+    materialize,
     merge_closure,
     property_report,
     r_swoosh,
@@ -155,13 +155,13 @@ def test_tables_and_blackbox_rules_resolve_alike(max10, twoblock, unit):
         assert direct == r_swoosh(_as_blackbox(g, declares_icar=True), members)
 
 
-def test_foreign_ids_on_a_table_raise(max10):
+def test_foreign_ids_on_a_table_raise(max10, p1):
     calls = (
         lambda: generated_subgroupoid(max10, ["2", "zz"]),
         lambda: merge_closure(max10, ["2", "zz"]),
-        lambda: merge_closure(max10, Instance(("zz",), {"zz": "zz"})),
-        lambda: Instance.over(max10, ["2", "zz"]),
         lambda: r_swoosh(max10, ["2", "zz"]),
+        # p1 is not ICAR: the members are keyed before the precondition
+        lambda: r_swoosh(p1, ["a", "zz"]),
     )
     for call in calls:
         with pytest.raises(ForeignElementError, match="'zz'"):
@@ -226,8 +226,42 @@ def test_closure_minimality_on_small_instances(record_bb):
 
 def test_instances_deduplicate_by_canonical_id(record_bb):
     r = Record.of(name={"ann"})
-    inst = Instance.over(record_bb, [r, Record.of(name={"ann"})])
-    assert len(inst) == 1
+    members = [r, Record.of(name={"ann"})]
+    closure = merge_closure(record_bb, members)
+    assert closure.carrier == (r.canonical_id,)
+    result = r_swoosh(record_bb, members)
+    assert result.resolved == (r.canonical_id,)
+    assert result.certificate == "0 merges"
+
+
+def _counting(bb):
+    """The same rules, with key and merge calls counted."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    return replace(bb, key=counted("key", bb.key), merge=counted("merge", bb.merge)), calls
+
+
+def test_each_member_is_keyed_once(record_bb):
+    # duplicates included: every member passed is keyed exactly once
+    members = cluster_records() + two_cluster_records()
+    n = len(members)
+    for close in (merge_closure, generated_subgroupoid):
+        counted, calls = _counting(record_bb)
+        assert close(counted, members).closed
+        assert calls["key"] == n + calls["merge"]
+    # r_swoosh keys each merge and its idempotent re-merge
+    counted, calls = _counting(record_bb)
+    merges = int(r_swoosh(counted, members).certificate.split()[0])
+    assert merges > 0
+    assert calls["merge"] == 2 * merges
+    assert calls["key"] == n + 2 * merges
 
 
 def test_finite_closure_under_i_sc_a_r_fixtures():
@@ -304,11 +338,20 @@ def test_bruteforce_size_guard():
         er_bruteforce(closure)
 
 
-def test_bruteforce_requires_closed_closure():
+@pytest.mark.parametrize(
+    "method", [er_bruteforce, er_full, er_maximal], ids=lambda m: m.__name__
+)
+def test_bruteforce_requires_closed_closure(method):
     ch = builtin("chain", 50)
     result = merge_closure(ch, ["a1", "a2"], Budget(max_elements=10))
-    with pytest.raises(BudgetExhaustedError):
-        er_bruteforce(result)
+    with pytest.raises(BudgetExhaustedError) as err:
+        method(result)
+    assert err.value.result is result
+    # the message materialize gives, which the CLI prints
+    with pytest.raises(BudgetExhaustedError) as materialized:
+        materialize(_as_blackbox(ch), ["a1", "a2"], Budget(max_elements=10))
+    assert str(err.value) == str(materialized.value)
+    assert str(err.value) == "closure exceeded the budget after 9 rounds (10 elements)"
 
 
 # -- full and maximal methods -----------------------------------------------------------
