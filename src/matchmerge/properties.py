@@ -80,9 +80,6 @@ class PropertyReport:
     def is_partial_semigroup_ca(self) -> bool:
         return self.verdicts[Property.CATENARY_ASSOCIATIVE].holds
 
-    def holds(self, p: Property) -> bool:
-        return self.verdicts[p].holds
-
 
 # Each scan decides a whole family of laws in one pass over the carrier and
 # returns the first witness of each law in carrier order (None where the law

@@ -282,7 +282,7 @@ def test_word_idempotence_on_every_idempotent_three_element_table():
     for g in sa_tables:
         _assert_nr_matches_oracle(g, 3)
         assert check_property(g, P.WORD_IDEMPOTENT, 3).holds
-        # with SA stored, word products are folds, and they match every grouping
+        # the interval pass gives each word the values of all its groupings
         for word in itertools.product(g.elements, repeat=3):
             assert word_product(g, word) == parenthesization_products(g, [{w} for w in word])
 

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import importlib
+import itertools
+import json
 import random
 
 import pytest
 
 from matchmerge import (
+    CongruenceError,
     FiniteGroupoid,
     HypothesesNotSatisfiedError,
     Property,
+    WellDefinednessError,
     check_homomorphism,
     check_property,
     class_semigroup_check,
@@ -18,7 +22,9 @@ from matchmerge import (
     quotient_idempotence_check,
 )
 from conftest import cluster_records, finite_fixture_suite, materialized_records
-from helpers import random_groupoid
+from helpers import idempotent_tables, parenthesization_products, random_groupoid
+from matchmerge.cli import run
+from matchmerge.documents import groupoid_to_document
 
 
 def nr_fixture_suite() -> dict:
@@ -144,8 +150,6 @@ def test_quotienting_twice_changes_nothing():
 
 
 def test_quotient_stability_on_random_word_idempotent_groupoids():
-    from matchmerge import CongruenceError
-
     rng = random.Random(17)
     checked = 0
     attempts = 0
@@ -171,8 +175,6 @@ def test_bounded_word_idempotence_does_not_guarantee_transitivity():
     # multi-valued and the absorption relation is not transitive; the class
     # computation must refuse with a replayable witness instead of
     # partitioning anyway
-    from matchmerge import CongruenceError
-
     g = FiniteGroupoid(
         ("a", "b", "c"),
         {
@@ -232,8 +234,6 @@ def test_class_words_collapse_to_endpoints(leftzero2):
 
 
 def test_quotient_is_built_once_per_table_and_bound(monkeypatch, capsys):
-    from matchmerge.cli import run
-
     # the package re-exports the function under the module's name
     quotient_module = importlib.import_module("matchmerge.quotient")
 
@@ -274,14 +274,122 @@ def test_each_sandwich_is_evaluated_once(monkeypatch, spec, words):
         tuple(q for q in g.elements if mutually_absorbing(g, p, q)) for p in g.elements
     )
     calls = []
-    original = quotient_module.word_product
+    original = quotient_module._sandwich
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(quotient_module, "word_product", counting)
+    monkeypatch.setattr(quotient_module, "_sandwich", counting)
     classes = congruence_classes(g)
     # one word p q p per ordered pair, not p q p and q p q for both orders
     assert len(calls) == words == len(g) ** 2
     assert classes.classes == tuple(dict.fromkeys(expected))
+
+
+# -- words read off the table ------------------------------------------------------
+
+
+def test_sandwich_is_the_product_of_the_word():
+    from matchmerge.quotient import _sandwich
+
+    rng = random.Random(23)
+    tables = [*idempotent_tables()]
+    tables += [random_groupoid(rng, rng.randint(2, 5), rng.uniform(0.2, 1.0)) for _ in range(200)]
+    for g in tables:
+        for p, q in g.pairs():
+            assert _sandwich(g.table, p, q) == parenthesization_products(g, [{p}, {q}, {p}])
+
+
+def _class_check_by_words(g, members, bound):
+    """The class law read literally: total, closed and associative members,
+    then every word of length 2 to ``bound`` collapses to its ends, each
+    word's product taken from the grouping-tree oracle."""
+    t = g.table
+    for x, y in itertools.product(members, repeat=2):
+        if (x, y) not in t:
+            return False, (x, y), "pair undefined inside the class"
+        if t[(x, y)] not in members:
+            return False, (x, y), "composition escapes the class"
+    for x, y, z in itertools.product(members, repeat=3):
+        if t[(t[(x, y)], z)] != t[(x, t[(y, z)])]:
+            return False, (x, y, z), "association fails in the class"
+    for k in range(2, bound + 1):
+        for word in itertools.product(members, repeat=k):
+            if parenthesization_products(g, [{w} for w in word]) != {t[(word[0], word[-1])]}:
+                return False, word, "word does not collapse to ends"
+    return True, None, ""
+
+
+def test_class_check_matches_a_word_scan():
+    rng = random.Random(29)
+    details = set()
+    for _ in range(120):
+        size = rng.randint(3, 4)
+        g = random_groupoid(rng, size, rng.uniform(0.6, 1.0), idempotent=rng.random() < 0.7)
+        for r in range(1, size + 1):
+            for members in itertools.combinations(g.elements, r):
+                for bound in (1, 2, 3, 4):
+                    verdict = class_semigroup_check(g, members, bound)
+                    want = _class_check_by_words(g, members, bound)
+                    assert (verdict.holds, verdict.witness, verdict.detail) == want
+                    details.add(want[2])
+    assert details == {
+        "",
+        "pair undefined inside the class",
+        "composition escapes the class",
+        "association fails in the class",
+        "word does not collapse to ends",
+    }
+
+
+def test_class_words_need_no_interval_pass(monkeypatch, p1):
+    import matchmerge.groupoid as groupoid
+
+    calls = []
+    original = groupoid._prefix_products
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groupoid, "_prefix_products", counting)
+    quotient(p1)
+    elements = tuple("abcde")
+    band = FiniteGroupoid(elements, {(x, y): x for x in elements for y in elements})
+    assert class_semigroup_check(band, elements, 6).holds
+    assert calls == []
+
+
+# -- commutativity needs catenary associativity ------------------------------------
+
+
+def test_symmetric_domain_without_ca_keeps_a_noncommutative_quotient(capsys, tmp_path):
+    # symmetric, I and A, NR at bounds 3-6, but CA fails at (b, b, c): the
+    # classes are singletons, so the quotient is the table itself
+    g = FiniteGroupoid(
+        ("a", "b", "c"),
+        {("a", "a"): "a", ("b", "b"): "b", ("c", "c"): "c", ("b", "c"): "a", ("c", "b"): "b"},
+    )
+    assert check_property(g, Property.SYMMETRIC).holds
+    assert check_property(g, Property.CATENARY_ASSOCIATIVE).witness == ("b", "b", "c")
+    for bound in (3, 6):
+        assert check_property(g, Property.WORD_IDEMPOTENT, bound).holds
+    q = quotient(g)
+    assert q.groupoid == g
+    assert not check_property(q.groupoid, Property.COMMUTATIVE).holds
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(groupoid_to_document(g)), encoding="utf-8")
+    assert run(["quotient", str(path)]) == 0
+    assert "classes (3):" in capsys.readouterr().out
+
+
+def test_no_idempotent_three_element_table_breaks_the_quotient_invariants():
+    built = 0
+    for g in idempotent_tables():
+        try:
+            quotient(g)
+        except (HypothesesNotSatisfiedError, CongruenceError, WellDefinednessError):
+            continue
+        built += 1
+    assert built
