@@ -184,7 +184,6 @@ def path_groupoid(host: Digraph) -> BlackBoxGroupoid:
         match=lambda p, q: _overlap_concat(p, q) is not None,
         merge=lambda p, q: _overlap_concat(p, q),
         key=lambda p: p.canonical_id,
-        seed=tuple(DiPath((arc,)) for arc in host.arcs),
     )
 
 

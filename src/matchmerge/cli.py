@@ -17,10 +17,13 @@ unmet hypotheses), 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
 from dataclasses import dataclass
+from functools import partial
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 from . import adapters, documents, domaingraph
@@ -450,6 +453,79 @@ def _cmd_fixtures(args):
     return 0, payload, lines
 
 
+# -- machine output ----------------------------------------------------------
+
+
+def _json(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder, so
+    this walks the payload itself and leaves the per-string work to the C
+    string encoder.  Dict keys must be strings; a value that is not a
+    string, int, bool, None, list, tuple or dict raises ``TypeError``.
+    """
+    pieces = []
+    _emit(payload, pieces, "\n")
+    return "".join(pieces)
+
+
+def _emit(value, pieces: list, indent: str) -> None:
+    """Append the pieces of ``value``, whose line breaks are ``indent``."""
+    if isinstance(value, str):
+        pieces.append(_string(value))
+    elif value is None:
+        pieces.append("null")
+    elif value is True:
+        pieces.append("true")
+    elif value is False:
+        pieces.append("false")
+    elif isinstance(value, int):
+        pieces.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            pieces.append("[]")
+            return
+        inner = indent + "  "
+        if set(map(type, value)) == {str}:
+            pieces.append("[" + inner + ("," + inner).join(map(_string, value)))
+        elif _rows_of_strings(value):
+            deeper = inner + "  "
+            rows = map(("," + deeper).join, map(partial(map, _string), value))
+            start, end = "[" + deeper, inner + "]"
+            pieces.append("[" + inner + start + (end + "," + inner + start).join(rows) + end)
+        else:
+            separator = "[" + inner
+            for item in value:
+                pieces.append(separator)
+                separator = "," + inner
+                _emit(item, pieces, inner)
+        pieces.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            pieces.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            pieces.append(separator + _string(key) + ": ")
+            separator = "," + inner
+            _emit(value[key], pieces, inner)
+        pieces.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _rows_of_strings(value) -> bool:
+    """Is ``value`` a sequence of non-empty lists of plain strings?"""
+    return (
+        set(map(type, value)) == {list}
+        and all(value)
+        and set(map(type, itertools.chain.from_iterable(value))) == {str}
+    )
+
+
 # -- wiring ------------------------------------------------------------------
 
 
@@ -543,7 +619,7 @@ def run(argv=None) -> int:
         code, lines = 1, None
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     if args.format == "machine":
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json(payload) + "\n")
     elif lines is not None:
         sys.stdout.write("\n".join(lines) + "\n")
     return code

@@ -39,10 +39,14 @@ def _read_json(path) -> object:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise LoadError(path, str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise LoadError(path, str(exc)) from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise LoadError(path, exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError as exc:
+        raise LoadError(path, "JSON nested too deeply") from exc
 
 
 def _expect(condition: bool, path, message: str):
@@ -85,20 +89,19 @@ def _groupoid_document(data, path) -> GroupoidDocument:
     compositions = data["compositions"]
     _expect(isinstance(compositions, list), path, "'compositions' must be an array")
     table = {}
+    # runs once per composition: indexed tests, and messages built only on failure
     for i, entry in enumerate(compositions):
-        _expect(
+        if not (
             isinstance(entry, list)
             and len(entry) == 3
-            and all(isinstance(e, str) for e in entry),
-            path,
-            f"compositions[{i}] must be a [x, y, result] triple of strings",
-        )
+            and isinstance(entry[0], str)
+            and isinstance(entry[1], str)
+            and isinstance(entry[2], str)
+        ):
+            raise LoadError(path, f"compositions[{i}] must be a [x, y, result] triple of strings")
         x, y, value = entry
-        _expect(
-            (x, y) not in table,
-            path,
-            f"compositions[{i}] repeats the pair ({x!r}, {y!r})",
-        )
+        if (x, y) in table:
+            raise LoadError(path, f"compositions[{i}] repeats the pair ({x!r}, {y!r})")
         table[(x, y)] = value
     try:
         groupoid = FiniteGroupoid(tuple(elements), table)
@@ -111,15 +114,15 @@ def _groupoid_document(data, path) -> GroupoidDocument:
         _expect(isinstance(raw, list), path, "'order' must be an array of [p, q] pairs")
         pairs = []
         for i, entry in enumerate(raw):
-            _expect(
+            if not (
                 isinstance(entry, list)
                 and len(entry) == 2
-                and all(isinstance(e, str) for e in entry),
-                path,
-                f"order[{i}] must be a [p, q] pair of strings",
-            )
+                and all(isinstance(e, str) for e in entry)
+            ):
+                raise LoadError(path, f"order[{i}] must be a [p, q] pair of strings")
             p, q = entry
-            _expect(p in groupoid and q in groupoid, path, f"order[{i}] leaves the carrier")
+            if p not in groupoid or q not in groupoid:
+                raise LoadError(path, f"order[{i}] leaves the carrier")
             pairs.append((p, q))
         order_pairs = tuple(pairs)
     return GroupoidDocument(groupoid, order_pairs)
@@ -139,18 +142,19 @@ def dump_groupoid(g: FiniteGroupoid, order_pairs=None) -> str:
     return json.dumps(groupoid_to_document(g, order_pairs), indent=2) + "\n"
 
 
-def _parse_record(obj, path, where) -> Record:
-    _expect(isinstance(obj, dict), path, f"{where} must be an attribute object")
+def _parse_record(obj, path, array: str, i: int) -> Record:
+    """Entry ``i`` of the document's ``array`` as a record."""
+    if not isinstance(obj, dict):
+        raise LoadError(path, f"{array}[{i}] must be an attribute object")
     for name, values in obj.items():
-        _expect(
-            isinstance(values, list) and values and all(isinstance(v, str) for v in values),
-            path,
-            f"{where}.{name} must be a non-empty array of strings",
-        )
+        if not (
+            isinstance(values, list) and values and all(isinstance(v, str) for v in values)
+        ):
+            raise LoadError(path, f"{array}[{i}].{name} must be a non-empty array of strings")
     try:
         return Record.from_dict(obj)
     except ValueError as exc:
-        raise LoadError(path, f"{where}: {exc}") from exc
+        raise LoadError(path, f"{array}[{i}]: {exc}") from exc
 
 
 def load_records(path) -> RecordsDocument:
@@ -170,9 +174,7 @@ def _records_document(data, path) -> RecordsDocument:
     )
     raw = data["records"]
     _expect(isinstance(raw, list) and raw, path, "'records' must be a non-empty array")
-    records = tuple(
-        _parse_record(entry, path, f"records[{i}]") for i, entry in enumerate(raw)
-    )
+    records = tuple(_parse_record(entry, path, "records", i) for i, entry in enumerate(raw))
     return RecordsDocument(records, tuple(keys))
 
 
@@ -192,13 +194,12 @@ def load_digraph(path) -> Digraph:
     _expect(isinstance(arcs, list), path, "'arcs' must be an array of [u, v] pairs")
     parsed = []
     for i, entry in enumerate(arcs):
-        _expect(
+        if not (
             isinstance(entry, list)
             and len(entry) == 2
-            and all(isinstance(e, str) for e in entry),
-            path,
-            f"arcs[{i}] must be a [u, v] pair of strings",
-        )
+            and all(isinstance(e, str) for e in entry)
+        ):
+            raise LoadError(path, f"arcs[{i}] must be a [u, v] pair of strings")
         parsed.append((entry[0], entry[1]))
     try:
         return Digraph(tuple(nodes), tuple(parsed))
@@ -217,6 +218,6 @@ def load_instance(path) -> InstanceDocument:
     if all(isinstance(m, str) for m in members):
         return InstanceDocument(element_ids=tuple(members))
     records = tuple(
-        _parse_record(entry, path, f"instance[{i}]") for i, entry in enumerate(members)
+        _parse_record(entry, path, "instance", i) for i, entry in enumerate(members)
     )
     return InstanceDocument(records=records)

@@ -176,7 +176,6 @@ class BlackBoxGroupoid:
     match: Callable[[object, object], bool]
     merge: Callable[[object, object], object]
     key: Callable[[object], ElementId]
-    seed: tuple = ()
     declares_icar: bool = False
 
     def compose(self, x, y):

@@ -153,15 +153,16 @@ def order_law_audit(rel: OrderRelation) -> OrderLawAudit:
     ordered = rel.sorted_pairs()
     loopless = next(((x,) for x in rel.carrier if (x, x) not in rel.pairs), None)
     both_ways = next(((x, y) for x, y in ordered if x != y and (y, x) in rel.pairs), None)
-    gap = next(
-        (
-            (x, y, z)
-            for x, y in ordered
-            for z in rel.carrier
-            if (y, z) in rel.pairs and (x, z) not in rel.pairs
-        ),
-        None,
-    )
+    # (x, y) breaks transitivity when y sits below some z that x does not
+    up = {x: set() for x in rel.carrier}
+    for x, z in rel.pairs:
+        up[x].add(z)
+    gap = None
+    for x, y in ordered:
+        if not up[y] <= up[x]:
+            missing = up[y] - up[x]
+            gap = (x, y, next(z for z in rel.carrier if z in missing))
+            break
     return OrderLawAudit(
         _first_failure(loopless, "missing loop"),
         _first_failure(both_ways, "both directions related"),

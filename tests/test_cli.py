@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from matchmerge import domaingraph
+from matchmerge import cli, domaingraph
 from matchmerge.cli import run
 from matchmerge.errors import InternalInvariantError
 from matchmerge.order import OrderRelation
@@ -408,6 +411,23 @@ def test_malformed_document_exits_two(capsys, tmp_path):
     assert ":1:" in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe\x00\x00{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+        (b"[" * 200_000, "JSON nested too deeply"),
+    ],
+    ids=["not-utf8", "nested"],
+)
+def test_unreadable_document_exits_two(capsys, tmp_path, content, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    code, out, err = invoke(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: {message}")
+
+
 @pytest.mark.parametrize("command", ["check", "quotient"])
 def test_word_bound_below_one_exits_two(capsys, command):
     code, out, err = invoke(capsys, command, "p1", "--nr-bound", "0")
@@ -530,14 +550,17 @@ SURFACE = [
 ]
 
 
-def test_every_command_prints_one_result(capsys):
-    from pathlib import Path
-
+def _surface_runs():
+    """Every SURFACE command on every fixture document, then ``fixtures``."""
     fixtures = sorted(str(p.with_suffix("")) for p in Path("fixtures").glob("*.json"))
     assert len(fixtures) == 11
     runs = [[command, fixture, *rest] for command, *rest in SURFACE for fixture in fixtures]
+    return runs + [["fixtures"]]
+
+
+def test_every_command_prints_one_result(capsys):
     domain_errors = 0
-    for argv in runs + [["fixtures"]]:
+    for argv in _surface_runs():
         code, out, err = invoke(capsys, *argv, "--format", "machine")
         text_code, text_out, text_err = invoke(capsys, *argv)
         assert code == text_code and err == text_err, argv
@@ -587,3 +610,52 @@ def test_run_builds_no_parser(capsys, monkeypatch):
     assert run(["fixtures"]) == 0
     assert run(["check", "unit", "--format", "machine"]) == 0
     assert built == []
+
+
+def test_emitter_matches_json_dumps_on_every_machine_payload(capsys, monkeypatch):
+    payloads = []
+    emit = cli._json
+    monkeypatch.setattr(cli, "_json", lambda payload: payloads.append(payload) or emit(payload))
+    for argv in _surface_runs():
+        invoke(capsys, *argv, "--format", "machine")
+    assert len(payloads) > 100
+    for payload in payloads:
+        assert emit(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+_TEXT = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u2028\ud7ff\U0001f600') | st.characters())
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | _TEXT
+    | st.lists(_TEXT)
+    | st.lists(st.booleans() | st.integers())
+    | st.lists(_TEXT | st.integers() | st.none())
+    | st.lists(st.lists(_TEXT, max_size=3), max_size=4)
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_PAYLOADS)
+def test_emitter_matches_json_dumps_on_nested_payloads(payload):
+    assert cli._json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("payload", [{"a": {1, 2}}, [object()], {"a": b"x"}])
+def test_emitter_rejects_what_json_cannot_write(payload):
+    with pytest.raises(TypeError):
+        cli._json(payload)
+
+
+def test_machine_output_is_sorted_indented_json(capsys):
+    for argv in _surface_runs():
+        code, out, _ = invoke(capsys, *argv, "--format", "machine")
+        if code != 2:
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv

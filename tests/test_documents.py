@@ -48,6 +48,61 @@ def test_duplicate_composition_pair_is_a_load_error(tmp_path):
     assert "repeats" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "loader, payload, message",
+    [
+        (
+            load_groupoid,
+            {"elements": ["a"], "compositions": [["a", "a", "a"], ["a", "a"]]},
+            "compositions[1] must be a [x, y, result] triple of strings",
+        ),
+        (
+            load_groupoid,
+            {"elements": ["a"], "compositions": [["a", "a", "a"], ["a", "a", 1]]},
+            "compositions[1] must be a [x, y, result] triple of strings",
+        ),
+        (
+            load_groupoid,
+            {"elements": ["a", "b"], "compositions": [["a", "b", "a"], ["a", "b", "b"]]},
+            "compositions[1] repeats the pair ('a', 'b')",
+        ),
+        (
+            load_groupoid,
+            {
+                "elements": ["a"],
+                "compositions": [["a", "a", "a"], ["a", "a", "a"], [], "a"],
+            },
+            "compositions[1] repeats the pair ('a', 'a')",
+        ),
+        (
+            load_groupoid,
+            {"elements": ["a"], "compositions": [], "order": [["a", "a"], ["a"]]},
+            "order[1] must be a [p, q] pair of strings",
+        ),
+        (
+            load_groupoid,
+            {"elements": ["a"], "compositions": [], "order": [["a", "a"], ["zz", "a"]]},
+            "order[1] leaves the carrier",
+        ),
+        (
+            load_records,
+            {"key_attributes": ["name"], "records": [{"name": ["ann"]}, {"name": "bo"}]},
+            "records[1].name must be a non-empty array of strings",
+        ),
+        (
+            load_records,
+            {"key_attributes": ["name"], "records": [{"name": ["ann"], "tel": []}]},
+            "records[0].tel must be a non-empty array of strings",
+        ),
+    ],
+)
+def test_load_error_messages(tmp_path, loader, payload, message):
+    path = write(tmp_path, "doc.json", payload)
+    with pytest.raises(LoadError) as err:
+        loader(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_composition_outside_carrier_is_a_load_error(tmp_path):
     path = write(
         tmp_path, "bad.json", {"elements": ["a"], "compositions": [["a", "b", "a"]]}
