@@ -158,7 +158,11 @@ def _parse_record(obj, path, array: str, i: int) -> Record:
 
 
 def load_records(path) -> RecordsDocument:
-    """Parse a records document: ``records`` plus ``key_attributes``."""
+    """Parse a records document: ``records`` plus ``key_attributes``.
+
+    Every record needs a value on at least one key attribute: a record
+    without one matches nothing, not even itself, which breaks the ICAR that
+    the record rule declares."""
     return _records_document(_read_json(path), path)
 
 
@@ -175,6 +179,9 @@ def _records_document(data, path) -> RecordsDocument:
     raw = data["records"]
     _expect(isinstance(raw, list) and raw, path, "'records' must be a non-empty array")
     records = tuple(_parse_record(entry, path, "records", i) for i, entry in enumerate(raw))
+    for i, record in enumerate(records):
+        if not any(k in record.attributes for k in keys):
+            raise LoadError(path, f"records[{i}] has no key attribute")
     return RecordsDocument(records, tuple(keys))
 
 

@@ -21,15 +21,6 @@ class DomainGraph:
     nodes: tuple[ElementId, ...]
     edges: frozenset[Pair]
 
-    @property
-    def symmetric_view(self) -> frozenset[Pair]:
-        """Undirected edges: each defined pair collapsed to carrier-index order."""
-        index = {e: i for i, e in enumerate(self.nodes)}
-        out = set()
-        for p, q in self.edges:
-            out.add((p, q) if index[p] <= index[q] else (q, p))
-        return frozenset(out)
-
 
 @dataclass(frozen=True)
 class Component:
@@ -67,10 +58,11 @@ def domain_graph(g: FiniteGroupoid) -> DomainGraph:
 
 
 def connected_components(dg: DomainGraph) -> list[Component]:
-    """Components of the symmetric view, each with its restricted sub-table.
+    """Components of the symmetric view, in carrier order of their first node.
 
-    Also re-checks that no composition crosses components; a crossing pair
-    would contradict the graph construction itself.
+    One pass over the table files each composition into its component's
+    sub-table when its value stays inside, and re-checks that none crosses
+    components; a crossing pair would contradict the graph construction itself.
     """
     parent = {n: n for n in dg.nodes}
 
@@ -80,29 +72,28 @@ def connected_components(dg: DomainGraph) -> list[Component]:
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
     for p, q in dg.edges:
-        union(p, q)
-
-    groups: dict[ElementId, list[ElementId]] = {}
-    for n in dg.nodes:
-        groups.setdefault(find(n), []).append(n)
-    components = [
-        Component(tuple(nodes), dg.groupoid.restrict(nodes))
-        for nodes in sorted(groups.values(), key=lambda ns: dg.groupoid.position(ns[0]))
-    ]
+        rp, rq = find(p), find(q)
+        if rp != rq:
+            parent[rq] = rp
 
     root_of = {n: find(n) for n in dg.nodes}
-    for x, y in dg.groupoid.defined_pairs():
-        if root_of[x] != root_of[y]:  # pragma: no cover - structurally impossible
+    groups: dict[ElementId, list[ElementId]] = {}
+    for n in dg.nodes:
+        groups.setdefault(root_of[n], []).append(n)
+    tables: dict[ElementId, dict[Pair, ElementId]] = {root: {} for root in groups}
+    for (x, y), v in dg.groupoid.table.items():
+        root = root_of[x]
+        if root != root_of[y]:  # pragma: no cover - structurally impossible
             raise InternalInvariantError(
                 f"composition ({x!r}, {y!r}) crosses components"
             )
-    return components
+        if root_of[v] == root:
+            tables[root][(x, y)] = v
+    return [
+        Component(tuple(nodes), FiniteGroupoid(nodes, tables[root]))
+        for root, nodes in groups.items()
+    ]
 
 
 @dataclass(frozen=True)
@@ -126,13 +117,9 @@ def is_total(g: FiniteGroupoid) -> TotalityReport:
             f"domain is not symmetric: ({x!r}, {y!r}) vs ({y!r}, {x!r})",
             witness=(x, y),
         )
-    missing = None
-    for x, y in g.pairs():
-        if (x, y) not in g.table:
-            missing = (x, y)
-            break
-    dg = domain_graph(g)
-    undirected = dg.symmetric_view
+    missing = next((pq for pq in g.pairs() if pq not in g.table), None)
+    index = {e: i for i, e in enumerate(g.elements)}
+    undirected = {(x, y) if index[x] <= index[y] else (y, x) for x, y in g.table}
     graph_complete = all(
         (x, y) in undirected
         for i, x in enumerate(g.elements)
@@ -157,18 +144,17 @@ def _grow_clique(nodes: tuple, neighbours: dict, start: list) -> tuple[ElementId
 
 def _build_clique(g: FiniteGroupoid, nodes: tuple[ElementId, ...]) -> Clique:
     inside = set(nodes)
+    table = {}
     leaks = []
-    total = True
     for x in nodes:
         for y in nodes:
             v = g.table.get((x, y))
-            if v is None:
-                total = False
-            elif v not in inside:
+            if v in inside:
+                table[(x, y)] = v
+            elif v is not None:
                 leaks.append((x, y))
-    if leaks:
-        total = False
-    return Clique(nodes, g.restrict(nodes), total, tuple(leaks))
+    total = len(table) == len(nodes) ** 2
+    return Clique(nodes, FiniteGroupoid(nodes, table), total, tuple(leaks))
 
 
 def clique_cover(dg: DomainGraph) -> CliqueCover:
@@ -204,23 +190,25 @@ def clique_cover(dg: DomainGraph) -> CliqueCover:
                 if index[a] <= index[b]:
                     covered_edges.add((a, b))
 
-    while True:
-        seed_node = next((n for n in dg.nodes if n not in covered_nodes), None)
-        if seed_node is not None:
-            mark(_grow_clique(dg.nodes, neighbours, [seed_node]))
-            continue
-        pending = next((e for e in mutual_edges if e not in covered_edges), None)
-        if pending is not None:
-            mark(_grow_clique(dg.nodes, neighbours, list(pending)))
-            continue
-        break
+    for n in dg.nodes:
+        if n not in covered_nodes:
+            mark(_grow_clique(dg.nodes, neighbours, [n]))
+    for edge in mutual_edges:
+        if edge not in covered_edges:
+            mark(_grow_clique(dg.nodes, neighbours, list(edge)))
     return CliqueCover(tuple(_build_clique(g, c) for c in cliques))
 
 
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+
+
 def _dot_identifier(name: str) -> str:
-    if name and (name.isalnum() or name.replace("_", "").isalnum()) and not name[0].isdigit():
-        return name
-    if name.isdigit():
+    """``name`` bare where DOT reads it as an ID, else double-quoted.
+
+    Keywords are reserved in any case, and a numeral is ASCII digits only."""
+    word = name.replace("_", "").isalnum() and not name[0].isdigit()
+    numeral = name.isascii() and name.isdigit()
+    if (word or numeral) and name.lower() not in _DOT_KEYWORDS:
         return name
     escaped = name.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'

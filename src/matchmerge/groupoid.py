@@ -273,7 +273,6 @@ def _close_under_composition(host, items, budget):
         rounds += 1
         recent = set(previous_new)
         fresh: dict[ElementId, object] = {}
-        exhausted = False
         snapshot = list(items.items())
         for xid, x in snapshot:
             for yid, y in snapshot:
@@ -285,15 +284,10 @@ def _close_under_composition(host, items, budget):
                 zid = key(z)
                 if zid not in items and zid not in fresh:
                     if len(items) + len(fresh) >= budget.max_elements:
-                        exhausted = True
-                        break
+                        items.update(fresh)
+                        return BUDGET_EXHAUSTED, items, rounds, table
                     fresh[zid] = z
                 table[(xid, yid)] = zid
-            if exhausted:
-                break
-        if exhausted:
-            items.update(fresh)
-            return BUDGET_EXHAUSTED, items, rounds, table
         if not fresh:
             return CLOSED, items, rounds, table
         items.update(fresh)

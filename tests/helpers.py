@@ -318,6 +318,42 @@ def naive_clique_cover(g: FiniteGroupoid) -> list:
     return out
 
 
+# -- connected-components oracle -----------------------------------------------
+
+
+def naive_components(g: FiniteGroupoid) -> list:
+    """Oracle for ``connected_components``, as ``(nodes, table)`` pairs.
+
+    A breadth-first search over defined pairs, followed both ways, from each
+    node not yet reached in carrier order; each component's nodes are in
+    carrier order, and its table holds the entries whose operands and value
+    all lie inside it.
+    """
+    el, t = g.elements, g.table
+    reached = set()
+    out = []
+    for start in el:
+        if start in reached:
+            continue
+        members, frontier = {start}, [start]
+        while frontier:
+            a = frontier.pop(0)
+            for b in el:
+                if b not in members and ((a, b) in t or (b, a) in t):
+                    members.add(b)
+                    frontier.append(b)
+        reached |= members
+        nodes = tuple(e for e in el if e in members)
+        table = {
+            (x, y): t[(x, y)]
+            for x in nodes
+            for y in nodes
+            if (x, y) in t and t[(x, y)] in members
+        }
+        out.append((nodes, table))
+    return out
+
+
 # -- generators ----------------------------------------------------------------
 
 

@@ -428,6 +428,21 @@ def test_unreadable_document_exits_two(capsys, tmp_path, content, message):
     assert err.startswith(f"error: {path}: {message}")
 
 
+@pytest.mark.parametrize("method", ["rswoosh", "full", "bruteforce", "auto", "maximal"])
+def test_keyless_record_exits_two(capsys, tmp_path, method):
+    # a record without a key value matches nothing, not even itself
+    path = tmp_path / "records.json"
+    doc = {
+        "key_attributes": ["name"],
+        "records": [{"name": ["ann"]}, {"name": ["ann"], "phone": ["1"]}, {"phone": ["9"]}],
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = invoke(capsys, "er", str(path), "--method", method)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: records[2] has no key attribute\n"
+
+
 @pytest.mark.parametrize("command", ["check", "quotient"])
 def test_word_bound_below_one_exits_two(capsys, command):
     code, out, err = invoke(capsys, command, "p1", "--nr-bound", "0")

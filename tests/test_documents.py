@@ -94,6 +94,14 @@ def test_duplicate_composition_pair_is_a_load_error(tmp_path):
             {"key_attributes": ["name"], "records": [{"name": ["ann"], "tel": []}]},
             "records[0].tel must be a non-empty array of strings",
         ),
+        (
+            load_records,
+            {
+                "key_attributes": ["name"],
+                "records": [{"name": ["ann"]}, {"phone": ["9"]}, {"tel": ["1"]}],
+            },
+            "records[1] has no key attribute",
+        ),
     ],
 )
 def test_load_error_messages(tmp_path, loader, payload, message):

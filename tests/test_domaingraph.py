@@ -16,7 +16,7 @@ from matchmerge import (
     to_dot,
 )
 from conftest import finite_fixture_suite
-from helpers import naive_clique_cover, random_groupoid
+from helpers import naive_clique_cover, naive_components, random_groupoid
 
 
 def symmetrized_p1() -> FiniteGroupoid:
@@ -212,21 +212,47 @@ def test_chain_cover_is_singletons():
     assert not any(c.is_total for c in cover.cliques)
 
 
-def test_cover_matches_the_naive_greedy_oracle():
+def _oracle_samples() -> list[FiniteGroupoid]:
     # fixtures, then 2,000 seeded tables of 1 to 6 elements: reflexive or not,
     # idempotent or not, at densities 0, 0.1, ..., 1
     rng = random.Random(77)
-    samples = list(finite_fixture_suite().values()) + [
+    return list(finite_fixture_suite().values()) + [
         random_groupoid(
             rng, rng.randint(1, 6), (i % 11) / 10, reflexive=i % 2 == 0, idempotent=i % 3 == 0
         )
         for i in range(2000)
     ]
-    for g in samples:
+
+
+def test_cover_matches_the_naive_greedy_oracle():
+    escapes = 0
+    for g in _oracle_samples():
         cover = clique_cover(domain_graph(g))
         assert [(c.nodes, c.is_total, c.leaks) for c in cover.cliques] == naive_clique_cover(g)
         for c in cover.cliques:
             assert c.groupoid == g.restrict(c.nodes)
+        components = connected_components(domain_graph(g))
+        expected = naive_components(g)
+        assert [(c.nodes, c.groupoid.table) for c in components] == expected
+        for c in components:
+            assert c.groupoid == g.restrict(c.nodes)
+        component_of = {n: c.nodes for c in components for n in c.nodes}
+        escapes += any(component_of[v] != component_of[x] for (x, _), v in g.table.items())
+    # some entry's value lies in another component, so its drop is exercised
+    assert escapes > 0
+
+
+def test_components_and_covers_never_call_restrict(monkeypatch):
+    samples = _oracle_samples()
+
+    def forbidden(self, subset):
+        raise AssertionError("restrict called")
+
+    monkeypatch.setattr(FiniteGroupoid, "restrict", forbidden)
+    for g in samples:
+        dg = domain_graph(g)
+        connected_components(dg)
+        clique_cover(dg)
 
 
 # -- dot rendering -------------------------------------------------------------------------
@@ -249,6 +275,14 @@ def test_dot_output_quotes_awkward_names():
     g = FiniteGroupoid(("a b",), {("a b", "a b"): "a b"})
     text = to_dot(domain_graph(g))
     assert '"a b" -> "a b";' in text
+    # DOT keywords are reserved in any case, and a numeral is ASCII digits only
+    names = ("node", "Edge", "GRAPH", "strict", "1²", "42", "a_b")
+    g = FiniteGroupoid(names, {("node", "Edge"): "node"})
+    lines = to_dot(domain_graph(g)).splitlines()
+    for quoted in ("node", "Edge", "GRAPH", "strict", "1²"):
+        assert f'  "{quoted}";' in lines
+    assert '  "node" -> "Edge";' in lines
+    assert "  42;" in lines and "  a_b;" in lines
 
 
 def test_dot_output_deterministic(twoblock):
