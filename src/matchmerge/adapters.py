@@ -8,7 +8,8 @@ canonical serialization so merge outputs deduplicate during closure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import UnknownFixtureError
@@ -23,41 +24,60 @@ from .groupoid import (
 )
 
 
+# ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` without building
+# an encoder per call
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 @dataclass(frozen=True, eq=False)
 class Record:
     """An entity record: attribute names mapped to finite value sets.
 
-    Equality and hashing go through the canonical serialization (sorted
-    attributes, sorted values), so equal records are byte-identical.
+    Names and values are stringified; a value set must be a collection, not
+    a string (or bytes) that would split into characters.  Equality and
+    hashing go through the canonical serialization (sorted attributes,
+    sorted values), computed once, so equal records are byte-identical; the
+    attributes are a read-only view, so it never goes stale.
     """
 
     attributes: Mapping[str, frozenset[str]]
+    canonical_id: ElementId = field(init=False, repr=False)
 
     def __post_init__(self):
         normalized = {}
         for name, values in self.attributes.items():
-            values = frozenset(str(v) for v in values)
+            if isinstance(values, (str, bytes)):
+                raise ValueError(
+                    f"attribute {name!r} has the string {values!r} as its value"
+                    " set; give a collection of values"
+                )
+            values = frozenset(map(str, values))
             if not values:
                 raise ValueError(f"attribute {name!r} has an empty value set")
-            normalized[str(name)] = values
+            label = str(name)
+            if label in normalized:
+                raise ValueError(f"duplicate attribute {label!r}")
+            normalized[label] = values
         if not normalized:
             raise ValueError("record must have at least one attribute")
-        object.__setattr__(self, "attributes", normalized)
+        object.__setattr__(self, "attributes", MappingProxyType(normalized))
+        object.__setattr__(
+            self, "canonical_id", _canonical_json({k: sorted(v) for k, v in normalized.items()})
+        )
 
     @classmethod
     def of(cls, **attributes) -> "Record":
-        return cls({k: frozenset(v) for k, v in attributes.items()})
+        return cls(attributes)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Iterable[str]]) -> "Record":
-        return cls({k: frozenset(v) for k, v in data.items()})
+        return cls(data)
 
     def to_dict(self) -> dict[str, list[str]]:
         return {k: sorted(self.attributes[k]) for k in sorted(self.attributes)}
 
-    @property
-    def canonical_id(self) -> ElementId:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+    def __reduce__(self):  # the read-only view itself does not pickle
+        return (Record, (dict(self.attributes),))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Record) and self.canonical_id == other.canonical_id
@@ -76,7 +96,9 @@ def record_groupoid(key_attributes: Sequence[str]) -> BlackBoxGroupoid:
     attribute; their merge unions every attribute's value set.  Provided all
     records carry a key value, the rule is idempotent, strongly commutative,
     associative and representative, which the adapter declares (and the test
-    suite verifies on materialized fixtures rather than assuming).
+    suite verifies on materialized fixtures rather than assuming).  The
+    features of a record are its (key attribute, value) pairs: two records
+    match exactly when they share one.
     """
     keys = tuple(key_attributes)
     if not keys:
@@ -89,19 +111,17 @@ def record_groupoid(key_attributes: Sequence[str]) -> BlackBoxGroupoid:
         )
 
     def merge(r1: Record, r2: Record) -> Record:
-        names = set(r1.attributes) | set(r2.attributes)
-        return Record(
-            {
-                n: r1.attributes.get(n, frozenset()) | r2.attributes.get(n, frozenset())
-                for n in names
-            }
-        )
+        a, b = r1.attributes, r2.attributes
+        union = {n: a.get(n, frozenset()) | b.get(n, frozenset()) for n in a.keys() | b.keys()}
+        # an operand holding the other is already the union
+        return r1 if union == a else r2 if union == b else Record(union)
 
     return BlackBoxGroupoid(
         match=match,
         merge=merge,
         key=lambda r: r.canonical_id,
         declares_icar=True,
+        features=lambda r: [(k, v) for k in keys for v in r.attributes.get(k, ())],
     )
 
 
@@ -179,11 +199,13 @@ def _overlap_concat(p: DiPath, q: DiPath) -> DiPath | None:
 
 
 def path_groupoid(host: Digraph) -> BlackBoxGroupoid:
-    """Paths of ``host`` under overlap concatenation."""
+    """Paths of ``host`` under overlap concatenation.  A path's features are
+    its arcs: an overlap shares at least one."""
     return BlackBoxGroupoid(
         match=lambda p, q: _overlap_concat(p, q) is not None,
         merge=lambda p, q: _overlap_concat(p, q),
         key=lambda p: p.canonical_id,
+        features=lambda p: p.arcs,
     )
 
 

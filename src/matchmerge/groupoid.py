@@ -5,8 +5,8 @@ some ordered pairs (its domain).  ``FiniteGroupoid`` stores the table
 explicitly, which is what the exhaustive audits in the rest of the library
 work on; ``BlackBoxGroupoid`` wraps a match predicate and a merge function
 over an open universe and is bridged to explicit tables by budgeted closure.
-Both are hosts: they answer ``match``, ``merge`` and ``key``, and closure
-and resolution read only those three names.
+Both are hosts: they answer ``match``, ``merge``, ``key`` and ``features``,
+and closure and resolution read only those four names.
 
 All operations here are pure functions of immutable inputs.
 """
@@ -14,6 +14,7 @@ All operations here are pure functions of immutable inputs.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -121,6 +122,7 @@ class FiniteGroupoid:
         return self.table[(x, y)]
 
     key = require  # an element is its own id; a foreign one raises
+    features = None  # every pair is a candidate for a match
 
     # -- composition -------------------------------------------------------
     @property
@@ -171,12 +173,19 @@ class BlackBoxGroupoid:
     deterministic.  ``key`` canonically serializes a value; two values are
     the same element exactly when their keys are byte-identical, which is
     what makes merge outputs deduplicable during closure.
+
+    ``features``, when given, lists hashable features of a value such that
+    ``match(x, y)`` implies ``features(x)`` and ``features(y)`` intersect.
+    Closure and ``r_swoosh`` then ask ``match`` only of pairs that share a
+    feature, the per-feature value index of F-Swoosh.  Without it every pair
+    is a candidate.
     """
 
     match: Callable[[object, object], bool]
     merge: Callable[[object, object], object]
     key: Callable[[object], ElementId]
     declares_icar: bool = False
+    features: Callable[[object], Iterable] | None = None
 
     def compose(self, x, y):
         """Merge of x and y when they match, else None."""
@@ -249,6 +258,12 @@ def _closed_groupoid(closure: ClosureResult) -> FiniteGroupoid:
     return closure.groupoid
 
 
+def _feature_tuple(features, value) -> tuple:
+    """The distinct features of ``value``, in the order ``features`` gives
+    them; ``features`` is a host's, or None for one feature shared by all."""
+    return tuple(dict.fromkeys(features(value))) if features else (None,)
+
+
 def _close_under_composition(host, items, budget):
     """Fixed-point worklist of ``generated_subgroupoid``.
 
@@ -259,25 +274,49 @@ def _close_under_composition(host, items, budget):
     the run reports exhaustion.  Returns the status, the carrier's items by id, the rounds
     run, and the table ``(xid, yid) -> zid`` of the compositions evaluated
     whose value is in the carrier.
+
+    Only pairs that share a feature can match, so each ``x`` is offered the
+    carrier positions listed under its features, ascending; that skips
+    exactly the pairs that compose to nothing and keeps the order of the
+    compositions, hence the carrier order, the table and the point where
+    the budget stops the run.
     """
-    match, merge, key = host.match, host.merge, host.key
+    match, merge, key, features = host.match, host.merge, host.key, host.features
     table: dict[Pair, ElementId] = {}
     if len(items) > budget.max_elements:
         return BUDGET_EXHAUSTED, items, 0, table
 
+    index: dict[object, list[int]] = {}  # feature -> carrier positions, ascending
+    buckets: list[list[list[int]]] = []  # carrier position -> its features' lists
+
+    def enter(values):
+        for value in values:
+            lists = [index.setdefault(f, []) for f in _feature_tuple(features, value)]
+            for positions in lists:
+                positions.append(len(buckets))
+            buckets.append(lists)
+
+    enter(items.values())
     rounds = 0
-    previous_new = list(items)
+    start = 0  # the first carrier position found in the previous round
     while True:
         if rounds >= budget.max_rounds:
             return BUDGET_EXHAUSTED, items, rounds, table
         rounds += 1
-        recent = set(previous_new)
         fresh: dict[ElementId, object] = {}
         snapshot = list(items.items())
-        for xid, x in snapshot:
-            for yid, y in snapshot:
-                if rounds > 1 and xid not in recent and yid not in recent:
-                    continue
+        for i, (xid, x) in enumerate(snapshot):
+            lo = 0 if i >= start else start  # an old x pairs with recent y only
+            lists = buckets[i]
+            if len(lists) == 1:
+                positions = lists[0]
+                candidates = positions[bisect_left(positions, lo):]
+            else:
+                candidates = sorted(
+                    {j for positions in lists for j in positions[bisect_left(positions, lo):]}
+                )
+            for j in candidates:
+                yid, y = snapshot[j]
                 if not match(x, y):
                     continue
                 z = merge(x, y)
@@ -290,8 +329,9 @@ def _close_under_composition(host, items, budget):
                 table[(xid, yid)] = zid
         if not fresh:
             return CLOSED, items, rounds, table
+        start = len(items)
         items.update(fresh)
-        previous_new = list(fresh)
+        enter(fresh.values())
 
 
 def generated_subgroupoid(

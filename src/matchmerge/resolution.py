@@ -35,6 +35,7 @@ from .groupoid import (
     ElementId,
     FiniteGroupoid,
     _closed_groupoid,
+    _feature_tuple,
     _keyed_members,
     generated_subgroupoid,
 )
@@ -130,6 +131,9 @@ def r_swoosh(
 
     Pops a record; if it matches anything already resolved, the partner is
     un-resolved and their merge is queued, otherwise the record is resolved.
+    The partner is the first resolved record, in insertion order, that
+    matches; with the host's ``features`` only those sharing a feature with
+    the record are asked.
     Sequential by design (its correctness argument is sequential), FIFO over
     ids sorted lexicographically, so runs are reproducible.  ``instance`` is
     the members themselves, as for ``merge_closure``.
@@ -156,9 +160,16 @@ def r_swoosh(
             " materialize a finite closure and verify them first"
         )
     match, merge, key = groupoid.match, groupoid.merge, groupoid.key
+    features = groupoid.features  # None: every resolved record is a candidate
 
     queue: list[tuple[ElementId, object]] = list(members.items())
-    resolved: dict[ElementId, object] = {}
+    # resolved id -> (record, insertion number, features); the cursor only
+    # grows, so it numbers the insertions
+    resolved: dict[ElementId, tuple[object, int, tuple]] = {}
+    # F-Swoosh's feature index: feature -> {insertion number: resolved id} in
+    # ascending numbers, so the first candidate that matches is the first
+    # match in ``resolved``'s own order
+    index: dict[object, dict[int, ElementId]] = {}
     merges = 0
     cursor = 0
     while cursor < len(queue):
@@ -166,13 +177,24 @@ def r_swoosh(
         cursor += 1
         if rid in resolved:
             continue
+        feats = _feature_tuple(features, record)
+        hits = [ids for ids in map(index.get, feats) if ids]
+        if len(hits) == 1:
+            candidates = hits[0].values()
+        else:
+            union = {n: pid for ids in hits for n, pid in ids.items()}
+            candidates = [union[n] for n in sorted(union)]
         partner = next(
-            (pid for pid, p in resolved.items() if match(record, p)), None
+            (pid for pid in candidates if match(record, resolved[pid][0])), None
         )
         if partner is None:
-            resolved[rid] = record
+            resolved[rid] = (record, cursor, feats)
+            for f in feats:
+                index.setdefault(f, {})[cursor] = rid
             continue
-        buddy = resolved.pop(partner)
+        buddy, number, partner_feats = resolved.pop(partner)
+        for f in partner_feats:
+            del index[f][number]
         merged = merge(record, buddy)
         merges += 1
         if merges > budget.max_elements:

@@ -12,7 +12,7 @@ import random
 import string
 from itertools import product as cartesian
 
-from matchmerge import FiniteGroupoid, Record
+from matchmerge import Digraph, DiPath, FiniteGroupoid, Record
 
 
 # -- parenthesization oracle ---------------------------------------------------
@@ -396,3 +396,26 @@ def random_record_instance(rng: random.Random, max_records: int = 8) -> list[Rec
             Record.of(name={rng.choice(names)}, **{f"src{i}": {f"r{i}"}})
         )
     return records
+
+
+def random_paths(rng: random.Random, max_nodes: int = 6) -> tuple[Digraph, list[DiPath]]:
+    """A random digraph and a few pieces of random walks in it, each a
+    valid path (arcs distinct, heads pairwise distinct); pieces of one walk
+    often overlap."""
+    nodes = tuple(string.ascii_lowercase[: rng.randint(2, max_nodes)])
+    arcs = [(u, v) for u in nodes for v in nodes if rng.random() < 0.4]
+    if not arcs:
+        arcs = [(nodes[0], nodes[1])]
+    paths = []
+    for _ in range(rng.randint(1, 2)):
+        walk = [rng.choice(arcs)]
+        for _ in range(5):
+            heads = {v for _, v in walk}
+            steps = [a for a in arcs if a[0] == walk[-1][1] and a[1] not in heads]
+            if not steps:
+                break
+            walk.append(rng.choice(steps))
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(walk))
+            paths.append(DiPath(tuple(walk[i : rng.randint(i + 1, len(walk))])))
+    return Digraph(nodes, tuple(arcs)), paths

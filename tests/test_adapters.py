@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import copy
+import json
+import pickle
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,11 +20,13 @@ from matchmerge import (
     builtin,
     check_property,
     materialize,
+    merge_closure,
     path_groupoid,
     property_report,
     record_groupoid,
 )
 from conftest import chaining_records, cluster_records, two_cluster_records
+from helpers import random_paths, random_record_instance
 
 
 # -- records -------------------------------------------------------------------
@@ -36,6 +43,78 @@ def test_record_canonical_form_is_sorted_and_stable():
 def test_record_rejects_empty_value_sets():
     with pytest.raises(ValueError):
         Record.of(name=set())
+
+
+def test_record_rejects_a_string_as_a_value_set():
+    # a string is iterable, and would otherwise split into its characters
+    for make in (
+        lambda: Record({"name": "ann"}),
+        lambda: Record.of(name="ann"),
+        lambda: Record.from_dict({"name": "ann"}),
+        lambda: Record({"name": b"ann"}),
+    ):
+        with pytest.raises(ValueError, match="'ann'"):
+            make()
+
+
+def test_record_rejects_names_that_collide_as_strings():
+    with pytest.raises(ValueError, match="duplicate attribute '1'"):
+        Record({1: ["a"], "1": ["b"]})
+
+
+def test_record_attributes_are_read_only():
+    r = Record.of(name={"ann"})
+    with pytest.raises(TypeError):
+        r.attributes["name"] = frozenset({"bob"})
+    assert r.canonical_id == '{"name":["ann"]}'
+
+
+def test_record_survives_pickle_and_deepcopy():
+    r = Record.of(name={"ann", "bob"}, phone={"p1"})
+    for twin in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+        assert twin == r and hash(twin) == hash(r)
+        assert twin.canonical_id == r.canonical_id
+
+
+@given(
+    st.dictionaries(
+        st.text(max_size=4), st.frozensets(st.text(max_size=4), min_size=1), min_size=1
+    )
+)
+def test_record_id_is_the_json_of_its_dict(attributes):
+    # hypothesis's text reaches well past ASCII
+    r = Record(attributes)
+    assert r.canonical_id == json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":"))
+    assert r == Record(dict(r.attributes)) and hash(r) == hash(Record(dict(r.attributes)))
+    assert repr(r) == f"Record({r.canonical_id})"
+
+
+def _assert_feature_contract(host, values, exact=False):
+    """A match shares a feature (with ``exact``, only a match does), and a
+    merge has exactly its operands' features."""
+    features = {host.key(v): set(host.features(v)) for v in values}
+    for x in values:
+        for y in values:
+            fx, fy = features[host.key(x)], features[host.key(y)]
+            if host.match(x, y):
+                assert fx & fy
+                assert set(host.features(host.merge(x, y))) == fx | fy
+            elif exact:
+                assert not fx & fy
+
+
+def test_record_and_path_features_keep_the_contract():
+    rng = random.Random(21)
+    for keys in (["name"], ["name", "src0"]):
+        host = record_groupoid(keys)
+        for _ in range(15):
+            closure = merge_closure(host, random_record_instance(rng, 6))
+            _assert_feature_contract(host, list(closure.objects.values()), exact=True)
+    for _ in range(30):
+        digraph, paths = random_paths(rng)
+        host = path_groupoid(digraph)
+        closure = merge_closure(host, paths, Budget(max_elements=200))
+        _assert_feature_contract(host, list(closure.objects.values()))
 
 
 def test_match_on_shared_key_value(record_bb):

@@ -10,6 +10,7 @@ from matchmerge import (
     BlackBoxGroupoid,
     Budget,
     BudgetExhaustedError,
+    ERResult,
     FiniteGroupoid,
     ForeignElementError,
     HypothesesNotSatisfiedError,
@@ -25,6 +26,7 @@ from matchmerge import (
     generated_subgroupoid,
     materialize,
     merge_closure,
+    path_groupoid,
     property_report,
     r_swoosh,
     record_groupoid,
@@ -36,7 +38,12 @@ from conftest import (
     materialized_records,
     two_cluster_records,
 )
-from helpers import naive_merge_closure, random_groupoid, random_record_instance
+from helpers import (
+    naive_merge_closure,
+    random_groupoid,
+    random_paths,
+    random_record_instance,
+)
 
 
 # -- merge closure -----------------------------------------------------------------
@@ -63,7 +70,8 @@ def _asking(bb):
 
 def test_record_closure_matches_each_ordered_pair_once(record_bb):
     records = cluster_records() + two_cluster_records()
-    counted, asked = _asking(record_bb)
+    # without a feature index every ordered carrier pair is a candidate
+    counted, asked = _asking(replace(record_bb, features=None))
     closure = merge_closure(counted, records)
     assert closure.closed
     carrier = closure.carrier
@@ -77,6 +85,17 @@ def test_record_closure_matches_each_ordered_pair_once(record_bb):
         for y in carrier
         if record_bb.match(objects[x], objects[y])
     }
+    # with it, only pairs sharing a key value are asked: each at most once,
+    # every pair that matches among them, and the closure is the same
+    indexed, asked = _asking(record_bb)
+    same = merge_closure(indexed, records)
+    per_pair = Counter((x, y) for x, y, _ in asked)
+    assert set(per_pair.values()) == {1}
+    every_pair = {(x, y) for x in carrier for y in carrier}
+    assert set(closure.groupoid.table) <= set(per_pair) < every_pair
+    assert (same.carrier, same.iterations, same.groupoid.table) == (
+        closure.carrier, closure.iterations, closure.groupoid.table
+    )
 
 
 def test_exhausted_record_closure_keeps_the_compositions_it_evaluated(record_bb, monkeypatch):
@@ -124,10 +143,14 @@ def _as_blackbox(g, declares_icar=False):
     )
 
 
+def _random_tables(rng):
+    return [random_groupoid(rng, rng.randint(2, 8), rng.choice((0.2, 0.4))) for _ in range(40)]
+
+
 def test_tables_and_blackbox_rules_close_alike():
     rng = random.Random(8)
     hosts = list(finite_fixture_suite().values())
-    hosts += [random_groupoid(rng, rng.randint(2, 8), rng.choice((0.2, 0.4))) for _ in range(40)]
+    hosts += _random_tables(rng)
     outcomes = set()
     for g in hosts:
         seeds = rng.sample(g.elements, rng.randint(1, len(g)))
@@ -142,6 +165,60 @@ def test_tables_and_blackbox_rules_close_alike():
     # both tight budgets run out on some hosts and not on others
     closed, exhausted = "closed", "budget_exhausted"
     assert outcomes == {(0, closed), (1, closed), (1, exhausted), (2, closed), (2, exhausted)}
+
+
+def _table_features(g):
+    """Each element with every element it composes with on either side, so
+    a pair in the domain shares a feature."""
+    neighbours = {e: set() for e in g.elements}
+    for x, y in g.table:
+        neighbours[x].add(y)
+        neighbours[y].add(x)
+    return lambda e: [e, *neighbours[e]]
+
+
+def _resolution(host, members, budget):
+    """What ``r_swoosh`` resolves, or the error it stops with."""
+    try:
+        return r_swoosh(host, members, budget)
+    except (BudgetExhaustedError, IcarViolationError) as error:
+        return type(error), str(error), getattr(error, "witness", None)
+
+
+def test_feature_index_changes_no_closure_and_no_resolution():
+    rng = random.Random(13)
+    runs = [(record_groupoid(["name"]), random_record_instance(rng)) for _ in range(20)]
+    for _ in range(20):  # records with one or two names: several features each
+        pool = ["k1", "k2", "k3", "k4", "k5"]
+        records = [
+            Record.of(name=set(rng.sample(pool, rng.randint(1, 2))), src={f"r{i}"})
+            for i in range(6)
+        ]
+        runs.append((record_groupoid(["name"]), records))
+    for _ in range(20):
+        digraph, paths = random_paths(rng)
+        runs.append((replace(path_groupoid(digraph), declares_icar=True), paths))
+    for g in _random_tables(random.Random(8)):
+        bb = replace(_as_blackbox(g, declares_icar=True), features=_table_features(g))
+        runs.append((bb, rng.sample(g.elements, rng.randint(1, len(g)))))
+    statuses, outcomes = set(), set()
+    for host, members in runs:
+        indexed, asked = _asking(host)
+        plain, asked_all = _asking(replace(host, features=None))
+        for budget in (Budget(), Budget(max_elements=len(members) + 2), Budget(max_rounds=1)):
+            closure = merge_closure(indexed, members, budget)
+            assert closure == merge_closure(plain, members, budget)
+            statuses.add(closure.status)
+        for budget in (Budget(max_elements=100), Budget(max_elements=2)):
+            resolution = _resolution(indexed, members, budget)
+            assert resolution == _resolution(plain, members, budget)
+            outcomes.add(type(resolution) if isinstance(resolution, ERResult) else resolution[0])
+        # the index skips only pairs that do not match: the same matches,
+        # in the same order
+        assert [a for a in asked if a[2] is not None] == [a for a in asked_all if a[2] is not None]
+        assert len(asked) <= len(asked_all)
+    assert statuses == {"closed", "budget_exhausted"}
+    assert outcomes == {ERResult, BudgetExhaustedError, IcarViolationError}
 
 
 def test_tables_and_blackbox_rules_resolve_alike(max10, twoblock, unit):
