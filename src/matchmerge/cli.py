@@ -394,7 +394,12 @@ def _cmd_order(args):
         section_lines, section_payload = _order_section(g, variant)
         lines.extend(section_lines)
         payload["natural"][variant.value] = section_payload
-    payload["full"] = {v.value: list(full_elements(g, v)) for v in OrderVariant}
+    # both-full is left-full and right-full, so two passes give all three
+    left, right = full_elements(g, OrderVariant.LEFT), full_elements(g, OrderVariant.RIGHT)
+    both = set(left).intersection(right)
+    payload["full"] = {
+        "left": list(left), "right": list(right), "both": [p for p in left if p in both]
+    }
     lines.append(
         "full: " + " ".join(f"{v}={_bracketed(full)}" for v, full in payload["full"].items())
     )

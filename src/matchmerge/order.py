@@ -26,7 +26,7 @@ the order is the natural one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -51,6 +51,9 @@ class OrderRelation:
     carrier: tuple[ElementId, ...]
     pairs: frozenset[Pair]
     provenance: str = "user"
+    _sorted: tuple[Pair, ...] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self):
         carrier = tuple(self.carrier)
@@ -64,9 +67,13 @@ class OrderRelation:
     def __contains__(self, pair: Pair) -> bool:
         return pair in self.pairs
 
-    def sorted_pairs(self) -> list[Pair]:
-        index = {e: i for i, e in enumerate(self.carrier)}
-        return sorted(self.pairs, key=lambda pq: (index[pq[0]], index[pq[1]]))
+    def sorted_pairs(self) -> tuple[Pair, ...]:
+        """The pairs in carrier order, sorted on the first request and stored."""
+        if self._sorted is None:
+            index = {e: i for i, e in enumerate(self.carrier)}
+            ordered = sorted(self.pairs, key=lambda pq: (index[pq[0]], index[pq[1]]))
+            object.__setattr__(self, "_sorted", tuple(ordered))
+        return self._sorted
 
 
 @dataclass(frozen=True)

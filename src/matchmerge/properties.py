@@ -3,7 +3,8 @@
 Each family of laws is decided by one scan of the whole carrier (elements,
 pairs, triples, or bounded words) in carrier order, which reports the first
 violation of each law as a replayable witness, so two runs on the same input
-always return the same verdict.
+always return the same verdict.  The word scan of NR walks only the defined
+words, built from shorter defined words one first letter at a time.
 
 Idempotence and strong associativity together imply word idempotence (NR)
 at every bound.  Under SA both groupings of any three factors are defined
@@ -16,7 +17,6 @@ decided from I and SA first, and only the remaining tables pay for words.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -194,10 +194,19 @@ def _word_idempotence_witness(g: FiniteGroupoid, bound: int):
     A word w violates the law when product(w) is non-empty but
     product(w ++ w) differs from it.  At length 1 the law is exactly I, so
     a failing I gives the first witness ``(p,)``; when SA holds as well NR
-    holds at every bound (see the module docstring).  Otherwise each word
-    of length 2 and up makes one pass over the factors of w ++ w:
-    product(w) is the prefix product after k factors, the pass stops there
-    when it is empty, and product(w ++ w) is the last.  This is an infinite
+    holds at every bound (see the module docstring).  Otherwise only the
+    defined words (non-empty product) can fail, and only they are visited.
+
+    product(w) is the union, over the top splits u | v of w, of every
+    defined x o y with x in product(u) and y in product(v).  So the defined
+    words of length k, with their products, come from the defined words of
+    shorter lengths: each x in product(u) meets the row of x in the table,
+    and each entry (y, x o y) of that row meets the words v whose product
+    holds y.  Length k is built one first letter at a time, in carrier
+    order, and that letter's words are checked in carrier order, each by one
+    interval pass over w ++ w; so the first mismatch is the first violating
+    word in carrier order, and a table that fails early never builds the
+    rest.  The words of the last length are not kept.  This is an infinite
     scheme; a pass is always relative to the word-length bound.
     """
     if bound < 1:
@@ -207,12 +216,35 @@ def _word_idempotence_witness(g: FiniteGroupoid, bound: int):
         return idempotent.witness
     if check_property(g, Property.STRONGLY_ASSOCIATIVE).holds:
         return None
+    row = {x: [] for x in g.elements}
+    for (x, y), xy in g.table.items():
+        row[x].append((y, xy))
+    # starting[m][a]: the defined words of length m that start with a, each
+    # with its product; holding[m][y]: the defined words of length m whose
+    # product holds y
+    starting = {1: {a: {(a,): {a}} for a in g.elements}}
+    holding = {1: {a: [(a,)] for a in g.elements}}
+    position = g._position
     for k in range(2, bound + 1):
-        for word in itertools.product(g.elements, repeat=k):
-            products = _prefix_products(g, [{w} for w in word + word])
-            once = next(itertools.islice(products, k - 1, None))
-            if once and once != [*products][-1]:
-                return word
+        starting[k], holding[k] = {}, {}
+        for a in g.elements:
+            products: dict[tuple[ElementId, ...], set[ElementId]] = {}
+            for m in range(1, k):
+                right = holding[k - m]
+                for u, product in starting[m][a].items():
+                    for x in product:
+                        for y, xy in row[x]:
+                            for v in right.get(y, ()):
+                                products.setdefault(u + v, set()).add(xy)
+            for w in sorted(products, key=lambda word: [position[e] for e in word]):
+                *_, doubled = _prefix_products(g, [{e} for e in w + w])
+                if doubled != products[w]:
+                    return w
+            if k < bound:
+                starting[k][a] = products
+                for w, product in products.items():
+                    for y in product:
+                        holding[k].setdefault(y, []).append(w)
     return None
 
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matchmerge import cli, domaingraph
+from matchmerge import cli, domaingraph, load_groupoid
 from matchmerge.cli import run
 from matchmerge.errors import InternalInvariantError
 from matchmerge.order import OrderRelation
+from helpers import full_by_definition
 
 
 def invoke(capsys, *argv):
@@ -483,6 +484,33 @@ def test_order_builds_each_natural_relation_once(capsys, monkeypatch):
         "natural:left",
         "natural:right",
     ]
+
+
+def test_order_sorts_each_relation_once_and_scans_each_side_once(capsys, monkeypatch):
+    import matchmerge.order as order_module
+
+    sorts, scans = [], []
+    full_elements = cli.full_elements
+
+    def counting_sorted(*args, **kwargs):
+        sorts.append(args)
+        return sorted(*args, **kwargs)
+
+    def counting_full(g, side):
+        scans.append(side)
+        return full_elements(g, side)
+
+    monkeypatch.setattr(order_module, "sorted", counting_sorted, raising=False)
+    monkeypatch.setattr(cli, "full_elements", counting_full)
+    code, out, _ = invoke(capsys, "order", "fixtures/twoblock", "--format", "machine")
+    assert code == 0
+    # one sort per natural relation, shared by its section and its law audit
+    assert len(sorts) == 3
+    # both-full is the intersection of the left and right scans
+    assert [str(side) for side in scans] == ["left", "right"]
+    full = full_by_definition(load_groupoid("fixtures/twoblock.json").groupoid)
+    assert json.loads(out)["full"] == {side: list(members) for side, members in full.items()}
+    assert full["both"] == ("u", "v")
 
 
 def test_sized_builtin_spec(capsys):

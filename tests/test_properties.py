@@ -257,18 +257,22 @@ def test_word_idempotence_matches_the_parenthesization_oracle():
     lengths = set()
     for g in samples:
         for bound in (1, 2, 3):
-            witness = first_nr_violation(g, bound)
-            universe = f"words of length <= {bound} over {len(g)} elements"
-            want = PropertyVerdict(P.WORD_IDEMPOTENT, witness is None, witness, universe)
-            assert check_property(g, P.WORD_IDEMPOTENT, bound) == want, (bound, g.table)
+            witness = _assert_nr_matches_oracle(g, bound)
             lengths.add(len(witness) if witness else None)
     assert lengths == {None, 1, 2, 3}
 
 
+def _assert_nr_verdict(g, bound, witness):
+    """NR at ``bound`` has exactly this first witness (None: it holds), and
+    its universe names the bound; returns the witness."""
+    universe = f"words of length <= {bound} over {len(g)} elements"
+    want = PropertyVerdict(P.WORD_IDEMPOTENT, witness is None, witness, universe)
+    assert check_property(g, P.WORD_IDEMPOTENT, bound) == want, (bound, g.table)
+    return witness
+
+
 def _assert_nr_matches_oracle(g, bound):
-    witness = first_nr_violation(g, bound)
-    verdict = check_property(g, P.WORD_IDEMPOTENT, bound)
-    assert (verdict.holds, verdict.witness) == (witness is None, witness), (bound, g.table)
+    return _assert_nr_verdict(g, bound, first_nr_violation(g, bound))
 
 
 def test_word_idempotence_on_every_idempotent_three_element_table():
@@ -285,6 +289,44 @@ def test_word_idempotence_on_every_idempotent_three_element_table():
         # the interval pass gives each word the values of all its groupings
         for word in itertools.product(g.elements, repeat=3):
             assert word_product(g, word) == parenthesization_products(g, [{w} for w in word])
+
+
+def test_word_idempotence_on_a_sample_of_idempotent_three_element_tables_at_bound_three():
+    # the full sweep of all 4,096 at bound 3 agrees too, but takes ~14 s
+    rng = random.Random(14)
+    sample = [g for g in idempotent_tables() if rng.randrange(8) == 0]
+    lengths = [len(w) if w else None for w in (_assert_nr_matches_oracle(g, 3) for g in sample)]
+    assert (len(sample), lengths.count(None), lengths.count(2), lengths.count(3)) == (514, 219, 294, 1)
+
+
+def test_word_idempotence_on_sparse_idempotent_tables_up_to_bound_four():
+    """Seeded idempotent tables of 6 to 10 elements with density at most 0.2,
+    where few words are defined, at bounds 2 to 4."""
+    rng = random.Random(20)
+    lengths = set()
+    for _ in range(6):
+        g = random_groupoid(rng, rng.randint(6, 10), rng.uniform(0.05, 0.2), idempotent=True)
+        witness = first_nr_violation(g, 4)
+        lengths.add(len(witness) if witness else None)
+        for bound in (2, 3, 4):
+            # the oracle scans by length, so at a lower bound it answers this
+            # witness when it is short enough, else None
+            _assert_nr_verdict(g, bound, witness if witness and len(witness) <= bound else None)
+    assert lengths == {None, 2, 3, 4}
+
+
+def test_word_idempotence_stops_at_an_early_witness_of_a_dense_table():
+    # the max chain h < g < ... < a in carrier order, except g o d = a and
+    # f o d = b: every word starting with h, g, f or e passes, and d g has
+    # product {d} while d (g (d g)) = d (g d) = d a = a; d f fails too, after
+    # d g in carrier order though before it in the alphabet
+    elements = tuple("hgfedcba")
+    table = {(x, y): max(x, y, key=elements.index) for x in elements for y in elements}
+    table[("g", "d")] = "a"
+    table[("f", "d")] = "b"
+    g = FiniteGroupoid(elements, table)
+    for bound in (2, 3, 4):
+        assert _assert_nr_matches_oracle(g, bound) == ("d", "g")
 
 
 def test_word_idempotence_needs_strong_associativity_not_associativity():
@@ -318,10 +360,19 @@ def test_word_idempotence_makes_one_pass_per_word(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(properties, "_prefix_products", counting)
-    # I and not SA: length 1 is settled by I, then one pass per longer word,
-    # not one per word and one per doubling
-    assert check_property(builtin("uchain", 4), P.WORD_IDEMPOTENT, 3).holds
-    assert len(calls) == 4**2 + 4**3
+    # I and not SA: length 1 is settled by I, then one pass over w ++ w per
+    # defined word w of length 2 and 3, in carrier order; an undefined word
+    # cannot violate the law and gets no pass
+    g = builtin("uchain", 4)
+    assert check_property(g, P.WORD_IDEMPOTENT, 3).holds
+    defined = [
+        word
+        for k in (2, 3)
+        for word in itertools.product(g.elements, repeat=k)
+        if parenthesization_products(g, [{w} for w in word])
+    ]
+    assert len(defined) == 19
+    assert [tuple(e for (e,) in factors) for _, factors in calls] == [w + w for w in defined]
     # I and SA settle NR at every bound without a pass
     calls.clear()
     assert check_property(builtin("maxnat", 4), P.WORD_IDEMPOTENT, 3).holds
