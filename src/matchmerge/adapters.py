@@ -1,8 +1,10 @@
 """Concrete groupoids: union-merge records, paths in a digraph, and the
 built-in finite fixtures used throughout the test suite and CLI.
 
-Black-box adapters must be pure and deterministic; their elements carry a
-canonical serialization so merge outputs deduplicate during closure.
+Black-box adapters must be deterministic: equal operands merge to equal
+values (the record host even returns the record it built before).  Their
+elements carry a canonical serialization so merge outputs deduplicate
+during closure.
 """
 
 from __future__ import annotations
@@ -99,6 +101,10 @@ def record_groupoid(key_attributes: Sequence[str]) -> BlackBoxGroupoid:
     suite verifies on materialized fixtures rather than assuming).  The
     features of a record are its (key attribute, value) pairs: two records
     match exactly when they share one.
+
+    The host keeps every record its merge built, by its attributes, for as
+    long as the host lives, and returns that record for the same union
+    again; so a closure builds each merged record once.
     """
     keys = tuple(key_attributes)
     if not keys:
@@ -110,11 +116,21 @@ def record_groupoid(key_attributes: Sequence[str]) -> BlackBoxGroupoid:
             for k in keys
         )
 
+    built: dict[frozenset, Record] = {}  # union items -> the record built for them
+
     def merge(r1: Record, r2: Record) -> Record:
         a, b = r1.attributes, r2.attributes
         union = {n: a.get(n, frozenset()) | b.get(n, frozenset()) for n in a.keys() | b.keys()}
         # an operand holding the other is already the union
-        return r1 if union == a else r2 if union == b else Record(union)
+        if union == a:
+            return r1
+        if union == b:
+            return r2
+        items = frozenset(union.items())
+        record = built.get(items)
+        if record is None:
+            record = built[items] = Record(union)
+        return record
 
     return BlackBoxGroupoid(
         match=match,

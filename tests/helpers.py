@@ -398,6 +398,27 @@ def random_record_instance(rng: random.Random, max_records: int = 8) -> list[Rec
     return records
 
 
+def clustered_records(rng: random.Random, n: int) -> list[Record]:
+    """``n`` records, shuffled, in clusters that share a name value.  Cluster
+    sizes cycle through 1, 1, 2, 1, 3, (2, 2), 1, 4, 1, 2, where (2, 2) is two
+    clusters and a bridge record that carries both names.  Each record has a
+    unique ``src`` marker, so no union of two or more records is a record."""
+    blocks = ((1,), (1,), (2,), (1,), (3,), (2, 2), (1,), (4,), (1,), (2,))
+    names: list[set[str]] = []
+    k = 0
+    while len(names) < n:
+        block = blocks[k % len(blocks)]
+        labels = [f"n{k}.{i}" for i in range(len(block))]
+        for label, size in zip(labels, block):
+            names.extend({label} for _ in range(size))
+        if len(block) == 2:
+            names.append(set(labels))
+        k += 1
+    records = [Record.of(name=name, src={f"r{i}"}) for i, name in enumerate(names[:n])]
+    rng.shuffle(records)
+    return records
+
+
 def random_paths(rng: random.Random, max_nodes: int = 6) -> tuple[Digraph, list[DiPath]]:
     """A random digraph and a few pieces of random walks in it, each a
     valid path (arcs distinct, heads pairwise distinct); pieces of one walk

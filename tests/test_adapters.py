@@ -26,7 +26,7 @@ from matchmerge import (
     record_groupoid,
 )
 from conftest import chaining_records, cluster_records, two_cluster_records
-from helpers import random_paths, random_record_instance
+from helpers import clustered_records, random_paths, random_record_instance
 
 
 # -- records -------------------------------------------------------------------
@@ -128,6 +128,50 @@ def test_match_on_shared_key_value(record_bb):
 def test_merge_is_idempotent(record_bb):
     r = Record.of(name={"ann"}, phone={"p1"})
     assert record_bb.merge(r, r) == r
+
+
+def _union(r1: Record, r2: Record) -> Record:
+    a, b = r1.attributes, r2.attributes
+    return Record({n: set(a.get(n, ())) | set(b.get(n, ())) for n in {*a, *b}})
+
+
+def test_record_closure_builds_each_new_record_once(monkeypatch):
+    records = clustered_records(random.Random(1), 24)
+    builds = []
+    original = Record.__post_init__
+
+    def counting(self):
+        builds.append(self)
+        original(self)
+
+    monkeypatch.setattr(Record, "__post_init__", counting)
+    closure = merge_closure(record_groupoid(["name"]), records)
+    assert closure.closed and len(closure.carrier) == 58
+    # no union of records is a record, so every build is a new element
+    assert len(builds) == len(closure.carrier) - len(records) == 34
+
+
+def test_merge_returns_the_record_it_built_for_a_union(record_bb):
+    closure = merge_closure(record_bb, clustered_records(random.Random(6), 10))
+    values = list(closure.objects.values())
+    merged = {}
+    for r1 in values:
+        for r2 in values:
+            if record_bb.match(r1, r2):
+                z = record_bb.merge(r1, r2)
+                assert z == _union(r1, r2)
+                # every merge to the same union returns the same record
+                assert merged.setdefault(z.canonical_id, z) is z
+    assert len(merged) > 10
+
+
+def test_record_hosts_share_no_merged_records():
+    r1 = Record.of(name={"ann"}, phone={"p1"})
+    r2 = Record.of(name={"ann"}, mail={"m1"})
+    first, second = record_groupoid(["name"]), record_groupoid(["name"])
+    z = first.merge(r1, r2)
+    assert second.merge(r1, r2) == z and second.merge(r1, r2) is not z
+    assert first.merge(r2, r1) is z
 
 
 def test_no_match_on_disjoint_key_values(record_bb):

@@ -10,6 +10,7 @@ from matchmerge import (
     Homomorphism,
     Property,
     PropertyVerdict,
+    Record,
     builtin,
     check_property,
     image,
@@ -214,6 +215,107 @@ def test_witnesses_are_the_first_violations_in_carrier_order():
             assert report.verdicts[p] == want, (p, g.table)
 
 
+_TRIPLE_LAWS = (P.ASSOCIATIVE, P.CATENARY_ASSOCIATIVE, P.STRONGLY_ASSOCIATIVE)
+
+
+def _scrambled(g: FiniteGroupoid, rng: random.Random) -> FiniteGroupoid:
+    """``g`` with its table entries inserted in random order, so a row read
+    in insertion order is not in carrier order."""
+    entries = list(g.table.items())
+    rng.shuffle(entries)
+    return FiniteGroupoid(g.elements, dict(entries))
+
+
+def _assert_triple_laws_match_oracle(g: FiniteGroupoid) -> dict:
+    expected = first_violations(g)
+    for p in _TRIPLE_LAWS:
+        witness = expected[str(p)]
+        want = PropertyVerdict(p, witness is None, witness, _universe(g, p))
+        assert check_property(g, p) == want, (p, g.elements, g.table)
+    return {str(p): expected[str(p)] for p in _TRIPLE_LAWS}
+
+
+def test_triple_scan_matches_the_oracle_on_large_sparse_tables():
+    """Successor chains of 20 to 48 elements with and without loops, in
+    their own and in a shuffled carrier order, and seeded random tables of
+    7 to 30 elements at densities up to 0.15, each with its entries
+    inserted in random order."""
+    rng = random.Random(15)
+    tables = []
+    for n in (20, 33, 48):
+        for name in ("chain", "uchain"):
+            g = builtin(name, n)
+            tables.append(g)
+            tables.append(FiniteGroupoid(tuple(rng.sample(g.elements, n)), g.table))
+    for i in range(60):
+        size = rng.randint(7, 30)
+        tables.append(random_groupoid(rng, size, rng.uniform(0.01, 0.15), reflexive=i % 2 == 0))
+    seen = set()
+    for g in tables:
+        found = _assert_triple_laws_match_oracle(_scrambled(g, rng))
+        seen.update((law, w is None) for law, w in found.items())
+    assert seen == {(law, holds) for law in ("A", "CA", "SA") for holds in (True, False)}
+
+
+def test_triple_scan_matches_the_oracle_on_record_closures():
+    """Closure tables of seeded record instances, with one or two names per
+    record, so bridges break SA while A and CA hold."""
+    rng = random.Random(41)
+    sa_failed = 0
+    for _ in range(30):
+        pool = ["k1", "k2", "k3", "k4"]
+        records = [
+            Record.of(name=set(rng.sample(pool, rng.randint(1, 2))), src={f"r{i}"})
+            for i in range(rng.randint(2, 5))
+        ]
+        g = materialized_records(records)
+        found = _assert_triple_laws_match_oracle(g)
+        assert found["A"] is None and found["CA"] is None
+        sa_failed += found["SA"] is not None
+    assert sa_failed >= 5
+
+
+def test_triple_scan_finds_strong_associativity_in_an_undefined_cell():
+    # b b is undefined while b (b d) = b d = d: the first SA witness, though
+    # the cell (b, d) before it is defined; b's row holds d and c, inserted
+    # c first, and the carrier puts d first
+    g = FiniteGroupoid(
+        ("d", "b", "a", "c"),
+        {("c", "c"): "c", ("a", "d"): "d", ("b", "c"): "c", ("b", "d"): "d"},
+    )
+    assert _assert_triple_laws_match_oracle(g) == {"A": None, "CA": None, "SA": ("b", "b", "d")}
+
+
+def test_triple_scan_finds_catenary_associativity_after_strong_associativity():
+    # SA fails first at (d, b, a): d b is undefined and d (b a) = d a = c.
+    # CA fails later in carrier order, at (d, a, b): d a = c and a b = a,
+    # while (d a) b = c b is undefined; a's row holds c and b, inserted c
+    # first, and (d, a, c) fails CA too
+    g = FiniteGroupoid(
+        ("d", "b", "a", "c"),
+        {("a", "c"): "d", ("a", "b"): "a", ("b", "a"): "a", ("d", "a"): "c"},
+    )
+    assert _assert_triple_laws_match_oracle(g) == {
+        "A": None, "CA": ("d", "a", "b"), "SA": ("d", "b", "a")
+    }
+
+
+def test_triple_scan_builds_no_row_of_a_total_associative_table(monkeypatch):
+    import matchmerge.properties as properties
+
+    built = []
+    original = properties._Rows.__missing__
+
+    def counting(self, x):
+        built.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(properties._Rows, "__missing__", counting)
+    g = builtin("maxnat", 6)
+    assert all(check_property(g, p).holds for p in _TRIPLE_LAWS)
+    assert built == []
+
+
 def test_stored_verdicts_do_not_depend_on_request_order():
     requests = [(p, 3) for p in Property if p is not P.WORD_IDEMPOTENT]
     requests += [(P.WORD_IDEMPOTENT, bound) for bound in (1, 2, 3)]
@@ -327,6 +429,28 @@ def test_word_idempotence_stops_at_an_early_witness_of_a_dense_table():
     g = FiniteGroupoid(elements, table)
     for bound in (2, 3, 4):
         assert _assert_nr_matches_oracle(g, bound) == ("d", "g")
+
+
+def test_word_idempotence_builds_only_the_rows_it_reads(monkeypatch):
+    import matchmerge.properties as properties
+
+    # a total idempotent table that fails SA, and NR at its second word (a, b)
+    rng = random.Random(3)
+    elements = tuple("abcdefghijkl")
+    table = {(x, y): x if x == y else rng.choice(elements) for x in elements for y in elements}
+    g = FiniteGroupoid(elements, table)
+    assert not check_property(g, P.STRONGLY_ASSOCIATIVE).holds
+    built = []
+    original = properties._Rows.__missing__
+
+    def counting(self, x):
+        built.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(properties._Rows, "__missing__", counting)
+    assert _assert_nr_matches_oracle(g, 3) == ("a", "b")
+    # the words of length 2 that start with a need a's row only
+    assert built == ["a"]
 
 
 def test_word_idempotence_needs_strong_associativity_not_associativity():

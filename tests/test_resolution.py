@@ -39,6 +39,7 @@ from conftest import (
     two_cluster_records,
 )
 from helpers import (
+    clustered_records,
     naive_merge_closure,
     random_groupoid,
     random_paths,
@@ -219,6 +220,30 @@ def test_feature_index_changes_no_closure_and_no_resolution():
         assert len(asked) <= len(asked_all)
     assert statuses == {"closed", "budget_exhausted"}
     assert outcomes == {ERResult, BudgetExhaustedError, IcarViolationError}
+
+
+def _merge_without_interning(r1, r2):
+    """The record merge, building a new record for every new union."""
+    a, b = r1.attributes, r2.attributes
+    union = {n: a.get(n, frozenset()) | b.get(n, frozenset()) for n in a.keys() | b.keys()}
+    return r1 if union == a else r2 if union == b else Record(union)
+
+
+def test_interned_merges_change_no_closure_and_no_resolution():
+    rng = random.Random(15)
+    instances = [clustered_records(rng, n) for n in (6, 12, 24)]
+    instances += [random_record_instance(rng) for _ in range(10)]
+    statuses = set()
+    for members in instances:
+        host = record_groupoid(["name"])
+        plain = replace(host, merge=_merge_without_interning)
+        for budget in (Budget(), Budget(max_elements=len(members) + 3), Budget(max_rounds=2)):
+            closure = merge_closure(host, members, budget)
+            assert closure == merge_closure(plain, members, budget)
+            statuses.add(closure.status)
+        for budget in (Budget(max_elements=100), Budget(max_elements=2)):
+            assert _resolution(host, members, budget) == _resolution(plain, members, budget)
+    assert statuses == {"closed", "budget_exhausted"}
 
 
 def test_tables_and_blackbox_rules_resolve_alike(max10, twoblock, unit):
