@@ -4,7 +4,9 @@ built-in finite fixtures used throughout the test suite and CLI.
 Black-box adapters must be deterministic: equal operands merge to equal
 values (the record host even returns the record it built before).  Their
 elements carry a canonical serialization so merge outputs deduplicate
-during closure.
+during closure.  A record also carries its facts, the set of its
+(attribute, value) pairs: the record rule matches, merges and keeps its
+merged records on those sets.
 """
 
 from __future__ import annotations
@@ -39,11 +41,14 @@ class Record:
     a string (or bytes) that would split into characters.  Equality and
     hashing go through the canonical serialization (sorted attributes,
     sorted values), computed once, so equal records are byte-identical; the
-    attributes are a read-only view, so it never goes stale.
+    attributes are a read-only view, so it never goes stale.  A record also
+    holds its facts, the set of its (attribute, value) pairs, computed once:
+    equal records have equal facts.
     """
 
     attributes: Mapping[str, frozenset[str]]
     canonical_id: ElementId = field(init=False, repr=False)
+    _facts: frozenset[tuple[str, str]] = field(init=False, repr=False)
 
     def __post_init__(self):
         normalized = {}
@@ -62,10 +67,14 @@ class Record:
             normalized[label] = values
         if not normalized:
             raise ValueError("record must have at least one attribute")
-        object.__setattr__(self, "attributes", MappingProxyType(normalized))
+        self._settle(normalized, frozenset((n, v) for n, vs in normalized.items() for v in vs))
+
+    def _settle(self, attributes: dict[str, frozenset[str]], facts: frozenset) -> None:
+        object.__setattr__(self, "attributes", MappingProxyType(attributes))
         object.__setattr__(
-            self, "canonical_id", _canonical_json({k: sorted(v) for k, v in normalized.items()})
+            self, "canonical_id", _canonical_json({k: sorted(v) for k, v in attributes.items()})
         )
+        object.__setattr__(self, "_facts", facts)
 
     @classmethod
     def of(cls, **attributes) -> "Record":
@@ -91,45 +100,60 @@ class Record:
         return f"Record({self.canonical_id})"
 
 
+def _record(
+    attributes: dict[str, frozenset[str]], facts: frozenset[tuple[str, str]]
+) -> Record:
+    """A record from parts that need no validation: non-empty sets of string
+    values by string name, and the facts they hold, such as a union of
+    records or a document entry already checked."""
+    record = object.__new__(Record)
+    record._settle(attributes, facts)
+    return record
+
+
 def record_groupoid(key_attributes: Sequence[str]) -> BlackBoxGroupoid:
     """Union-merge records with overlap matching on the key attributes.
 
     Two records match when they share at least one value on at least one key
-    attribute; their merge unions every attribute's value set.  Provided all
-    records carry a key value, the rule is idempotent, strongly commutative,
-    associative and representative, which the adapter declares (and the test
-    suite verifies on materialized fixtures rather than assuming).  The
-    features of a record are its (key attribute, value) pairs: two records
-    match exactly when they share one.
+    attribute; their merge is the record holding the union of their facts,
+    so it unions every attribute's value set.  Provided all records carry a
+    key value, the rule is idempotent, strongly commutative, associative and
+    representative, which the adapter declares (and the test suite verifies
+    on materialized fixtures rather than assuming).  The features of a
+    record are its (key attribute, value) pairs: two records match exactly
+    when they share one.
 
-    The host keeps every record its merge built, by its attributes, for as
-    long as the host lives, and returns that record for the same union
-    again; so a closure builds each merged record once.
+    The host keeps every record its merge built, by its facts, for as long
+    as the host lives, and returns that record for the same union again; so
+    a closure builds each merged record once.
     """
     keys = tuple(key_attributes)
     if not keys:
         raise ValueError("need at least one key attribute")
+    empty: frozenset[str] = frozenset()
 
     def match(r1: Record, r2: Record) -> bool:
-        return any(
-            r1.attributes.get(k, frozenset()) & r2.attributes.get(k, frozenset())
-            for k in keys
-        )
+        a, b = r1.attributes, r2.attributes
+        for k in keys:
+            if not a.get(k, empty).isdisjoint(b.get(k, empty)):
+                return True
+        return False
 
-    built: dict[frozenset, Record] = {}  # union items -> the record built for them
+    built: dict[frozenset, Record] = {}  # facts of a union -> the record built for them
 
     def merge(r1: Record, r2: Record) -> Record:
-        a, b = r1.attributes, r2.attributes
-        union = {n: a.get(n, frozenset()) | b.get(n, frozenset()) for n in a.keys() | b.keys()}
+        f1, f2 = r1._facts, r2._facts
         # an operand holding the other is already the union
-        if union == a:
+        if f2 <= f1:
             return r1
-        if union == b:
+        if f1 <= f2:
             return r2
-        items = frozenset(union.items())
-        record = built.get(items)
+        union = f1 | f2
+        record = built.get(union)
         if record is None:
-            record = built[items] = Record(union)
+            a, b = r1.attributes, r2.attributes
+            values = {n: a.get(n, empty) | b.get(n, empty) for n in a.keys() | b.keys()}
+            record = built[union] = _record(values, union)
         return record
 
     return BlackBoxGroupoid(

@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .adapters import Digraph, Record
+from .adapters import Digraph, Record, _record
 from .errors import LoadError
 from .groupoid import FiniteGroupoid, Pair
 
@@ -151,10 +151,14 @@ def _parse_record(obj, path, array: str, i: int) -> Record:
             isinstance(values, list) and values and all(isinstance(v, str) for v in values)
         ):
             raise LoadError(path, f"{array}[{i}].{name} must be a non-empty array of strings")
-    try:
-        return Record.from_dict(obj)
-    except ValueError as exc:
-        raise LoadError(path, f"{array}[{i}]: {exc}") from exc
+    if not obj:
+        raise LoadError(path, f"{array}[{i}]: record must have at least one attribute")
+    # a JSON object repeats no name and every value is a string, so nothing
+    # is left for Record's own checks
+    return _record(
+        {n: frozenset(vs) for n, vs in obj.items()},
+        frozenset((n, v) for n, vs in obj.items() for v in vs),
+    )
 
 
 def load_records(path) -> RecordsDocument:

@@ -356,17 +356,16 @@ def generated_subgroupoid(
     )
 
 
-def _prefix_products(
+def _subset_product(
     groupoid: FiniteGroupoid, factors: Sequence[Iterable[ElementId]]
-) -> Iterator[set[ElementId]]:
-    """Interval dynamic program over ``factors``, one end column at a time.
+) -> set[ElementId]:
+    """Product of ``factors`` by an interval dynamic program, unchecked.
 
     The product of a span is the set of values reachable by composing one
     element from each of its factors under every binary grouping; undefined
-    groupings contribute nothing.  After filling column ``j`` (every span
-    ending at factor ``j``) this yields the product of ``factors[:j + 1]``,
-    so a caller that stops early never computes the later columns.  Factors
-    are not validated.
+    groupings contribute nothing.  Spans are filled one end column at a
+    time, up to the span of all the factors, whose product is returned.
+    Factors are not validated, and there must be at least one.
     """
     table = groupoid.table
     rows: list[list] = []  # rows[i][j - i]: product of factors i..j
@@ -382,7 +381,7 @@ def _prefix_products(
                         if v is not None:
                             acc.add(v)
             rows[i].append(acc)
-        yield rows[0][j]
+    return rows[0][-1]
 
 
 def product_of_subsets(
@@ -398,8 +397,7 @@ def product_of_subsets(
     spans = [frozenset(groupoid.require_all(s)) for s in factors]
     if not spans:
         raise ValueError("product needs at least one factor")
-    *_, product = _prefix_products(groupoid, spans)
-    return frozenset(product)
+    return frozenset(_subset_product(groupoid, spans))
 
 
 def word_product(groupoid: FiniteGroupoid, word: Sequence[ElementId]) -> frozenset[ElementId]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .groupoid import ElementId, FiniteGroupoid, _prefix_products
+from .groupoid import ElementId, FiniteGroupoid, _subset_product
 
 DEFAULT_WORD_BOUND = 3
 
@@ -277,8 +277,7 @@ def _word_idempotence_witness(g: FiniteGroupoid, bound: int):
                             for v in right.get(y, ()):
                                 products.setdefault(u + v, set()).add(xy)
             for w in sorted(products, key=lambda word: [position[e] for e in word]):
-                *_, doubled = _prefix_products(g, [{e} for e in w + w])
-                if doubled != products[w]:
+                if _subset_product(g, [{e} for e in w + w]) != products[w]:
                     return w
             if k < bound:
                 starting[k][a] = products

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from matchmerge import adapters
 from matchmerge import (
     Budget,
     BudgetExhaustedError,
@@ -71,9 +72,12 @@ def test_record_attributes_are_read_only():
 
 def test_record_survives_pickle_and_deepcopy():
     r = Record.of(name={"ann", "bob"}, phone={"p1"})
-    for twin in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
-        assert twin == r and hash(twin) == hash(r)
-        assert twin.canonical_id == r.canonical_id
+    merged = record_groupoid(["name"]).merge(r, Record.of(name={"ann"}, mail={"m1"}))
+    for original in (r, merged):
+        for twin in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+            assert twin == original and hash(twin) == hash(original)
+            assert twin.canonical_id == original.canonical_id
+            assert twin._facts == original._facts
 
 
 @given(
@@ -85,6 +89,12 @@ def test_record_id_is_the_json_of_its_dict(attributes):
     # hypothesis's text reaches well past ASCII
     r = Record(attributes)
     assert r.canonical_id == json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":"))
+    assert r._facts == {(n, v) for n, values in attributes.items() for v in values}
+    # a merge builds its union without validation, and the same record
+    other = Record({"k": {"v"}})
+    built, union = record_groupoid(["k"]).merge(r, other), _union(r, other)
+    assert built.canonical_id == union.canonical_id and built._facts == union._facts
+    assert dict(built.attributes) == dict(union.attributes)
     assert r == Record(dict(r.attributes)) and hash(r) == hash(Record(dict(r.attributes)))
     assert repr(r) == f"Record({r.canonical_id})"
 
@@ -138,13 +148,19 @@ def _union(r1: Record, r2: Record) -> Record:
 def test_record_closure_builds_each_new_record_once(monkeypatch):
     records = clustered_records(random.Random(1), 24)
     builds = []
-    original = Record.__post_init__
+    validated, unchecked = Record.__post_init__, adapters._record
 
-    def counting(self):
+    def counting_validated(self):
         builds.append(self)
-        original(self)
+        validated(self)
 
-    monkeypatch.setattr(Record, "__post_init__", counting)
+    def counting_unchecked(attributes, facts):
+        builds.append(facts)
+        return unchecked(attributes, facts)
+
+    # a record is built either through validation or from known-good parts
+    monkeypatch.setattr(Record, "__post_init__", counting_validated)
+    monkeypatch.setattr(adapters, "_record", counting_unchecked)
     closure = merge_closure(record_groupoid(["name"]), records)
     assert closure.closed and len(closure.carrier) == 58
     # no union of records is a record, so every build is a new element
@@ -172,6 +188,59 @@ def test_record_hosts_share_no_merged_records():
     z = first.merge(r1, r2)
     assert second.merge(r1, r2) == z and second.merge(r1, r2) is not z
     assert first.merge(r2, r1) is z
+
+
+def test_merge_returns_an_operand_that_holds_the_other(record_bb):
+    ann, twin = Record.of(name={"ann"}), Record.of(name={"ann"})
+    more = Record.of(name={"ann"}, phone={"p1"})
+    assert record_bb.merge(ann, twin) is ann and record_bb.merge(twin, ann) is twin
+    assert record_bb.merge(more, ann) is more
+    assert record_bb.merge(ann, more) is more
+    one = Record.of(name={1})  # 1 and "1" are one value
+    assert record_bb.merge(one, Record.of(name={"1"})) is one
+
+
+def test_record_rule_agrees_with_the_attribute_wise_rule():
+    rng = random.Random(16)
+    pool = [1, "1", 2, "2", "x", "y"]
+    raws = []
+    for _ in range(40):
+        raw = {
+            n: {rng.choice(pool) for _ in range(rng.randint(1, 2))}
+            for n in ("name", "phone", "city")
+            if rng.random() < 0.6
+        }
+        raws.append(raw or {"city": {rng.choice(pool)}})
+    records = [Record(raw) for raw in raws]
+    seen = set()
+    for keys in (["name"], ["name", "phone"], ["phone", "city"]):
+        host = record_groupoid(keys)
+        for raw1, r1 in zip(raws, records):
+            for raw2, r2 in zip(raws, records):
+
+                def common(n):  # the values both hold on n, as strings
+                    return {str(v) for v in raw1.get(n, ())} & {str(v) for v in raw2.get(n, ())}
+
+                on_keys = [k for k in keys if common(k)]
+                assert host.match(r1, r2) == bool(on_keys)
+                z, union = host.merge(r1, r2), _union(r1, r2)
+                assert z.canonical_id == union.canonical_id and z._facts == union._facts
+                assert dict(z.attributes) == dict(union.attributes)
+                if on_keys:
+                    if any(k not in raw1 or k not in raw2 for k in keys):
+                        seen.add("a key attribute missing")
+                    if not any(raw1.get(k, set()) & raw2.get(k, set()) for k in keys):
+                        seen.add("only through normalization")
+                    if keys[0] not in on_keys:
+                        seen.add("not through the first key")
+                elif any(map(common, ("name", "phone", "city"))):
+                    seen.add("only non-key overlap")
+    assert seen == {
+        "a key attribute missing",
+        "only through normalization",
+        "not through the first key",
+        "only non-key overlap",
+    }
 
 
 def test_no_match_on_disjoint_key_values(record_bb):

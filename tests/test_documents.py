@@ -9,6 +9,7 @@ import pytest
 from matchmerge import (
     GroupoidDocument,
     LoadError,
+    Record,
     RecordsDocument,
     builtin,
     dump_groupoid,
@@ -102,6 +103,21 @@ def test_duplicate_composition_pair_is_a_load_error(tmp_path):
             },
             "records[1] has no key attribute",
         ),
+        (
+            load_records,
+            {"key_attributes": ["name"], "records": [{"name": ["ann"]}, {}]},
+            "records[1]: record must have at least one attribute",
+        ),
+        (
+            load_records,
+            {"key_attributes": ["name"], "records": [["name", "ann"]]},
+            "records[0] must be an attribute object",
+        ),
+        (
+            load_instance,
+            {"instance": [{"name": ["ann"]}, {}]},
+            "instance[1]: record must have at least one attribute",
+        ),
     ],
 )
 def test_load_error_messages(tmp_path, loader, payload, message):
@@ -164,6 +180,16 @@ def test_records_document(tmp_path):
     doc = load_records(path)
     assert doc.key_attributes == ("name",)
     assert doc.records[0].attributes["name"] == {"ann"}
+
+
+def test_loaded_records_equal_validated_records(tmp_path):
+    entries = [{"name": ["bob", "ann", "ann"], "été": ["z", "ä", "Z"]}, {"name": [""]}]
+    path = write(tmp_path, "r.json", {"key_attributes": ["name"], "records": entries})
+    for loaded, entry in zip(load_records(path).records, entries):
+        record = Record.from_dict(entry)
+        assert loaded == record and loaded.canonical_id == record.canonical_id
+        assert dict(loaded.attributes) == dict(record.attributes)
+        assert loaded._facts == record._facts
 
 
 def test_records_document_rejects_empty_value_arrays(tmp_path):

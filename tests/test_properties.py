@@ -477,13 +477,13 @@ def test_word_idempotence_makes_one_pass_per_word(monkeypatch):
     import matchmerge.properties as properties
 
     calls = []
-    original = properties._prefix_products
+    original = properties._subset_product
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(properties, "_prefix_products", counting)
+    monkeypatch.setattr(properties, "_subset_product", counting)
     # I and not SA: length 1 is settled by I, then one pass over w ++ w per
     # defined word w of length 2 and 3, in carrier order; an undefined word
     # cannot violate the law and gets no pass

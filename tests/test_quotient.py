@@ -347,13 +347,13 @@ def test_class_words_need_no_interval_pass(monkeypatch, p1):
     import matchmerge.groupoid as groupoid
 
     calls = []
-    original = groupoid._prefix_products
+    original = groupoid._subset_product
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(groupoid, "_prefix_products", counting)
+    monkeypatch.setattr(groupoid, "_subset_product", counting)
     quotient(p1)
     elements = tuple("abcde")
     band = FiniteGroupoid(elements, {(x, y): x for x in elements for y in elements})

@@ -229,14 +229,36 @@ def _merge_without_interning(r1, r2):
     return r1 if union == a else r2 if union == b else Record(union)
 
 
+def _match_attribute_wise(keys):
+    def match(r1, r2):
+        return any(r1.attributes.get(k, set()) & r2.attributes.get(k, set()) for k in keys)
+
+    return match
+
+
+def _multi_key_instance(rng):
+    """Records with a name, and with or without a phone and a city."""
+    records = []
+    for i in range(rng.randint(2, 9)):
+        attributes = {"name": {f"n{rng.randint(1, 6)}"}, "src": {i}}
+        for n in ("phone", "city"):
+            if rng.random() < 0.5:
+                attributes[n] = {f"{n}{rng.randint(1, 3)}"}
+        records.append(Record(attributes))
+    return records
+
+
 def test_interned_merges_change_no_closure_and_no_resolution():
+    # the record rule against the attribute-wise one, which builds a new
+    # record for every new union
     rng = random.Random(15)
-    instances = [clustered_records(rng, n) for n in (6, 12, 24)]
-    instances += [random_record_instance(rng) for _ in range(10)]
+    instances = [(["name"], clustered_records(rng, n)) for n in (6, 12, 24)]
+    instances += [(["name"], random_record_instance(rng)) for _ in range(10)]
+    instances += [(["name", "phone"], _multi_key_instance(rng)) for _ in range(10)]
     statuses = set()
-    for members in instances:
-        host = record_groupoid(["name"])
-        plain = replace(host, merge=_merge_without_interning)
+    for keys, members in instances:
+        host = record_groupoid(keys)
+        plain = replace(host, match=_match_attribute_wise(keys), merge=_merge_without_interning)
         for budget in (Budget(), Budget(max_elements=len(members) + 3), Budget(max_rounds=2)):
             closure = merge_closure(host, members, budget)
             assert closure == merge_closure(plain, members, budget)
@@ -516,13 +538,13 @@ def test_icar_dispatch_evaluates_no_word_products(monkeypatch, capsys):
     import matchmerge.properties as properties
 
     calls = []
-    original = properties._prefix_products
+    original = properties._subset_product
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(properties, "_prefix_products", counting)
+    monkeypatch.setattr(properties, "_subset_product", counting)
     assert run_cli(["er", "maxnat:5", "--method", "auto"]) == 0
     assert "method: rswoosh (ICAR verified)" in capsys.readouterr().out
     g = builtin("maxnat", 5)
