@@ -51,7 +51,6 @@ from .errors import (
     NotPartialOrderError,
     SizeGuardError,
     UnknownFixtureError,
-    WellDefinednessError,
 )
 from .groupoid import (
     BUDGET_EXHAUSTED,

@@ -83,10 +83,6 @@ class CongruenceError(MatchMergeError):
         self.witness = witness
 
 
-class WellDefinednessError(_WitnessError):
-    """Quotient construction produced class-dependent results."""
-
-
 class InternalInvariantError(MatchMergeError):
     """A consequence that should follow from verified hypotheses failed;
     indicates a checker bug rather than bad input."""

@@ -143,9 +143,6 @@ class FiniteGroupoid:
         """All ordered carrier pairs in carrier order."""
         return itertools.product(self.elements, repeat=2)
 
-    def triples(self) -> Iterator[tuple[ElementId, ElementId, ElementId]]:
-        return itertools.product(self.elements, repeat=3)
-
     def defined_pairs(self) -> Iterator[Pair]:
         """The composition domain, enumerated in carrier order."""
         for x, y in self.pairs():

@@ -297,8 +297,8 @@ def check_property(
     A, CA and SA over triples; NR from I and SA, else over words up to
     ``nr_word_bound``, per bound.  The first request for any law of a
     family runs its scan and stores every verdict of the family on ``g``;
-    later requests on the same object read the stored verdict.  This relies on ``g.table`` never
-    changing after construction.
+    later requests on the same object read the stored verdict.  This relies
+    on ``g.table`` never changing after construction.
     """
     prop = Property(prop)
     memo = g._derived

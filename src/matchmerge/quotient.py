@@ -19,12 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as cartesian
 
-from .errors import (
-    CongruenceError,
-    HypothesesNotSatisfiedError,
-    InternalInvariantError,
-    WellDefinednessError,
-)
+from .errors import CongruenceError, HypothesesNotSatisfiedError, InternalInvariantError
 from .groupoid import (
     ElementId,
     FiniteGroupoid,
@@ -88,41 +83,47 @@ def congruence_classes(
     with composition are then checked exhaustively, and a failure is
     reported as a structured violation (it signals the bound was too low
     for this input, not a bug here).
+
+    Each element's related set is listed in carrier order, and once the
+    relation is an equivalence that list is the element's class.
+    Transitivity walks p, then q related to p, then r related to q, which
+    meets the candidate triples in carrier order.  Given the classes, the
+    relation is compatible exactly when the defined pairs of each (class,
+    class) cell compose into one class, which one pass over the table
+    decides; only a failing pass searches the pairs of related pairs, in
+    sorted id order, for the witness.
     """
     _require_word_idempotent(g, nr_word_bound)
     # p survives the sandwich by q; each ordered pair's word is evaluated once
     absorbs = {(p, q) for p, q in g.pairs() if _sandwich(g.table, p, q) == {p}}
     related = {(p, q) for p, q in absorbs if (q, p) in absorbs}
+    up = {p: tuple(q for q in g.elements if (p, q) in related) for p in g.elements}
     for p in g.elements:
         if (p, p) not in related:
             raise CongruenceError("reflexivity", (p,))
-    for p, q, r in g.triples():
-        if (p, q) in related and (q, r) in related and (p, r) not in related:
-            raise CongruenceError("transitivity", (p, q, r))
-    ordered = sorted(related)
-    for (p, p2), (q, q2) in cartesian(ordered, ordered):
-        if (p, q) in g.table and (p2, q2) in g.table:
-            if (g.table[(p, q)], g.table[(p2, q2)]) not in related:
-                raise CongruenceError("compatibility", (p, p2, q, q2))
-
-    classes = []
-    assigned = set()
     for p in g.elements:
-        if p in assigned:
-            continue
-        cls = tuple(q for q in g.elements if (p, q) in related)
-        assigned.update(cls)
-        classes.append(cls)
-    representatives = tuple(cls[0] for cls in classes)
-    return CongruenceClasses(tuple(classes), representatives, nr_word_bound)
+        for q in up[p]:
+            for r in up[q]:
+                if (p, r) not in related:
+                    raise CongruenceError("transitivity", (p, q, r))
+    rep = {p: cls[0] for p, cls in up.items()}
+    cell, t = {}, g.table
+    if any(cell.setdefault((rep[x], rep[y]), rep[v]) != rep[v] for (x, y), v in t.items()):
+        ordered = sorted(related)
+        for (p, p2), (q, q2) in cartesian(ordered, ordered):
+            if (p, q) in t and (p2, q2) in t and (t[(p, q)], t[(p2, q2)]) not in related:
+                raise CongruenceError("compatibility", (p, p2, q, q2))
+    classes = tuple(dict.fromkeys(up.values()))
+    return CongruenceClasses(classes, tuple(cls[0] for cls in classes), nr_word_bound)
 
 
 def quotient(g: FiniteGroupoid, nr_word_bound: int = DEFAULT_WORD_BOUND) -> QuotientGroupoid:
     """Collapse each class to its representative and rebuild the table.
 
-    Well-definedness is re-verified while building: if two members of the
-    same class pair compose into different classes, that contradicts the
-    congruence check and is a hard error.
+    ``congruence_classes`` has verified that each (class, class) cell
+    composes into one class, so the table maps each defined pair to its
+    representatives' cell without checking again; the projection's
+    homomorphism check stays as an internal-invariant guard.
 
     When the source has a symmetric domain and is catenary associative (CA)
     the quotient must come out commutative, and this is asserted.  For
@@ -141,22 +142,11 @@ def quotient(g: FiniteGroupoid, nr_word_bound: int = DEFAULT_WORD_BOUND) -> Quot
     classes = congruence_classes(g, nr_word_bound)
     rep = {e: r for cls, r in zip(classes.classes, classes.representatives) for e in cls}
     carrier = tuple(r for r in g.elements if rep[r] == r)
-    table: dict[tuple[ElementId, ElementId], ElementId] = {}
-    origin: dict[tuple[ElementId, ElementId], tuple[ElementId, ElementId]] = {}
-    for x, y in g.defined_pairs():
-        key = (rep[x], rep[y])
-        value = rep[g.table[(x, y)]]
-        if key in table and table[key] != value:
-            raise WellDefinednessError(
-                "class composition depends on representatives",
-                witness=(origin[key], (x, y)),
-            )
-        table.setdefault(key, value)
-        origin.setdefault(key, (x, y))
+    table = {(rep[x], rep[y]): rep[v] for (x, y), v in g.table.items()}
     quotient_groupoid = FiniteGroupoid(carrier, table)
     projection = Homomorphism(g, quotient_groupoid, rep)
     verdict = check_homomorphism(projection)
-    if not verdict.holds:  # pragma: no cover - guarded by the checks above
+    if not verdict.holds:  # pragma: no cover - guarded by the class check
         raise InternalInvariantError(
             f"projection failed the homomorphism check: {verdict.witness!r}"
         )

@@ -318,6 +318,44 @@ def naive_clique_cover(g: FiniteGroupoid) -> list:
     return out
 
 
+# -- mutual-absorption oracle --------------------------------------------------
+
+
+def absorption_oracle(g: FiniteGroupoid):
+    """Oracle for ``congruence_classes`` once NR holds: ``("classes",
+    classes)``, or the first failing law and its witness.
+
+    p and q absorb each other when the products of the words p q p and
+    q p q, taken from ``parenthesization_products``, are {p} and {q}.
+    Reflexivity is checked in carrier order, transitivity over every triple
+    in carrier order, and compatibility over every pair of related pairs in
+    sorted id order.  Classes are seeded at each element not yet placed, in
+    carrier order.
+    """
+    el, t = g.elements, g.table
+    related = {
+        (p, q)
+        for p, q in cartesian(el, repeat=2)
+        if parenthesization_products(g, [{p}, {q}, {p}]) == {p}
+        and parenthesization_products(g, [{q}, {p}, {q}]) == {q}
+    }
+    for p in el:
+        if (p, p) not in related:
+            return ("reflexivity", (p,))
+    for p, q, r in cartesian(el, repeat=3):
+        if (p, q) in related and (q, r) in related and (p, r) not in related:
+            return ("transitivity", (p, q, r))
+    for (p, p2), (q, q2) in cartesian(sorted(related), repeat=2):
+        if (p, q) in t and (p2, q2) in t and (t[(p, q)], t[(p2, q2)]) not in related:
+            return ("compatibility", (p, p2, q, q2))
+    classes, placed = [], set()
+    for p in el:
+        if p not in placed:
+            classes.append(tuple(q for q in el if (p, q) in related))
+            placed.update(classes[-1])
+    return ("classes", tuple(classes))
+
+
 # -- connected-components oracle -----------------------------------------------
 
 
@@ -382,6 +420,26 @@ def random_groupoid(
                 table[(x, y)] = x
             elif (reflexive and x == y) or rng.random() < density:
                 table[(x, y)] = rng.choice(elements)
+    return FiniteGroupoid(elements, table)
+
+
+def random_banded_groupoid(rng: random.Random, size: int) -> FiniteGroupoid:
+    """A table on a shuffled carrier whose elements fall into random blocks:
+    inside a block most entries are a left-zero, right-zero or mixed band
+    entry (x.y in {x, y}), elsewhere a few random entries, and every element
+    is idempotent, so large mutual-absorption classes are common."""
+    elements = tuple(rng.sample(string.ascii_letters[:size], size))
+    block = {e: rng.randrange(rng.randint(1, size)) for e in elements}
+    kind = rng.random()
+    table = {}
+    for x, y in cartesian(elements, repeat=2):
+        r = rng.random()
+        if x == y:
+            table[(x, y)] = x
+        elif block[x] == block[y] and r < 0.8:
+            table[(x, y)] = x if kind < 0.5 else y if kind < 0.8 else rng.choice((x, y))
+        elif r < 0.3:
+            table[(x, y)] = rng.choice(elements)
     return FiniteGroupoid(elements, table)
 
 

@@ -12,7 +12,6 @@ from matchmerge import (
     FiniteGroupoid,
     HypothesesNotSatisfiedError,
     Property,
-    WellDefinednessError,
     check_homomorphism,
     check_property,
     class_semigroup_check,
@@ -22,7 +21,13 @@ from matchmerge import (
     quotient_idempotence_check,
 )
 from conftest import cluster_records, finite_fixture_suite, materialized_records
-from helpers import idempotent_tables, parenthesization_products, random_groupoid
+from helpers import (
+    absorption_oracle,
+    idempotent_tables,
+    parenthesization_products,
+    random_banded_groupoid,
+    random_groupoid,
+)
 from matchmerge.cli import run
 from matchmerge.documents import groupoid_to_document
 
@@ -200,6 +205,60 @@ def test_bounded_word_idempotence_does_not_guarantee_transitivity():
     assert err.value.witness == ("a", "c", "b")
 
 
+def _incompatible_cell():
+    """Classes {c, b} and {a}: in the cell ({c, b}, {c, b}) c.c = c and
+    b.b = b stay in the class but b.c = a leaves it."""
+    return FiniteGroupoid(
+        ("c", "b", "a"),
+        {
+            ("c", "c"): "c",
+            ("b", "b"): "b",
+            ("a", "a"): "a",
+            ("c", "a"): "c",
+            ("b", "c"): "a",
+            ("a", "b"): "b",
+        },
+    )
+
+
+def test_compatibility_witness_is_the_first_pair_of_related_pairs_in_id_order():
+    # in sorted id order the first pair of related pairs that shows the
+    # broken cell is ((b, b), (b, c)); a carrier-order search would name
+    # (c, b, c, c) instead
+    with pytest.raises(CongruenceError) as err:
+        congruence_classes(_incompatible_cell())
+    assert err.value.law == "compatibility"
+    assert err.value.witness == ("b", "b", "b", "c")
+
+
+def test_classes_and_witnesses_match_a_brute_force_oracle():
+    rng = random.Random(41)
+    tables = [*idempotent_tables()]
+    tables += [random_banded_groupoid(rng, rng.randint(1, 9)) for _ in range(10_000)]
+    seen = set()
+    for g in tables:
+        want = None
+        for bound in (2, 3):
+            if not check_property(g, Property.WORD_IDEMPOTENT, bound).holds:
+                with pytest.raises(HypothesesNotSatisfiedError):
+                    congruence_classes(g, bound)
+                seen.add("nr")
+                continue
+            try:
+                classes = congruence_classes(g, bound)
+            except CongruenceError as err:
+                got = (err.law, err.witness)
+            else:
+                got = ("classes", classes.classes)
+                assert classes.representatives == tuple(cls[0] for cls in classes.classes)
+                if any(len(cls) > 2 for cls in classes.classes):
+                    seen.add("large class")
+            want = want or absorption_oracle(g)
+            assert got == want, (g, bound)
+            seen.add(got[0])
+    assert seen == {"nr", "classes", "large class", "transitivity", "compatibility"}
+
+
 # -- class structure ---------------------------------------------------------------------
 
 
@@ -285,6 +344,28 @@ def test_each_sandwich_is_evaluated_once(monkeypatch, spec, words):
     # one word p q p per ordered pair, not p q p and q p q for both orders
     assert len(calls) == words == len(g) ** 2
     assert classes.classes == tuple(dict.fromkeys(expected))
+
+
+def test_only_a_failing_compatibility_pass_searches_pairs_of_related_pairs(monkeypatch):
+    from matchmerge.adapters import builtin
+
+    quotient_module = importlib.import_module("matchmerge.quotient")
+    calls = []
+    original = quotient_module.cartesian
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quotient_module, "cartesian", counting)
+    elements = tuple(f"e{i}" for i in range(50))
+    band = FiniteGroupoid(elements, {(x, y): x for x in elements for y in elements})
+    assert len(quotient(band).groupoid) == 1
+    assert quotient(builtin("maxnat", 30)).groupoid == builtin("maxnat", 30)
+    assert calls == []
+    with pytest.raises(CongruenceError):
+        quotient(_incompatible_cell())
+    assert calls
 
 
 # -- words read off the table ------------------------------------------------------
@@ -389,7 +470,7 @@ def test_no_idempotent_three_element_table_breaks_the_quotient_invariants():
     for g in idempotent_tables():
         try:
             quotient(g)
-        except (HypothesesNotSatisfiedError, CongruenceError, WellDefinednessError):
+        except (HypothesesNotSatisfiedError, CongruenceError):
             continue
         built += 1
     assert built
