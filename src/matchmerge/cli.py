@@ -26,7 +26,7 @@ from functools import partial
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
-from . import adapters, documents, domaingraph
+from . import adapters
 from .errors import (
     DomainNotSymmetricError,
     LoadError,
@@ -35,26 +35,11 @@ from .errors import (
     UnknownFixtureError,
 )
 from .groupoid import BlackBoxGroupoid, Budget, FiniteGroupoid
-from .order import (
-    OrderRelation,
-    OrderVariant,
-    _characterization,
-    check_order_axioms,
-    full_elements,
-    maximal_elements,
-    natural_order,
-    order_law_audit,
-)
 from .properties import ICAR, Property, check_property, implication_audit, property_report
 from .quotient import class_semigroup_check, quotient, quotient_idempotence_check
-from .resolution import (
-    BRUTEFORCE_CARRIER_GUARD,
-    er_bruteforce,
-    er_full,
-    er_maximal,
-    merge_closure,
-    r_swoosh,
-)
+
+# documents, domaingraph, order and resolution are imported by the commands
+# that use them, so a cold start loads only what its command runs.
 
 
 @dataclass
@@ -75,6 +60,8 @@ class CliInput:
 
 
 def _resolve_input(spec: str) -> CliInput:
+    from . import documents
+
     for candidate in (Path(spec), Path(spec + ".json")):
         if candidate.is_file():
             doc = documents.load_document(candidate)
@@ -98,6 +85,8 @@ def _resolve_input(spec: str) -> CliInput:
 def _parse_instance(arg: str | None, loaded: CliInput):
     """Instance members: a comma-separated id list, an instance document
     path, or (by default) everything in the input."""
+    from . import documents
+
     if arg is None:
         return list(loaded.members)
     for candidate in (Path(arg), Path(arg + ".json")):
@@ -188,6 +177,8 @@ def _cmd_check(args):
 
 
 def _cmd_closure(args):
+    from .resolution import merge_closure
+
     loaded = _resolve_input(args.input)
     members = _parse_instance(args.instance, loaded)
     result = merge_closure(loaded.host, members, _budget(args))
@@ -218,6 +209,15 @@ def _cmd_closure(args):
 
 
 def _cmd_er(args):
+    from .resolution import (
+        BRUTEFORCE_CARRIER_GUARD,
+        er_bruteforce,
+        er_full,
+        er_maximal,
+        merge_closure,
+        r_swoosh,
+    )
+
     loaded = _resolve_input(args.input)
     budget = _budget(args)
     members = _parse_instance(args.instance, loaded)
@@ -281,6 +281,8 @@ def _cmd_er(args):
 
 
 def _cmd_graph(args):
+    from . import domaingraph
+
     loaded = _resolve_input(args.input)
     g = loaded.finite(_budget(args))
     dg = domaingraph.domain_graph(g)
@@ -334,6 +336,8 @@ def _cmd_graph(args):
 
 
 def _cmd_quotient(args):
+    from . import documents
+
     loaded = _resolve_input(args.input)
     g = loaded.finite(_budget(args))
     q = quotient(g, args.nr_bound)
@@ -367,33 +371,48 @@ def _cmd_quotient(args):
 # -- order -------------------------------------------------------------------
 
 
-def _order_section(g, variant: OrderVariant):
-    rel = natural_order(g, variant)
-    ordered = rel.sorted_pairs()
-    audit = order_law_audit(rel)
-    maximal = maximal_elements(g, variant)
-    lines = [f"natural {variant.value}: {len(ordered)} pairs"]
-    lines.extend(f"  {p} <= {q}" for p, q in ordered)
-    laws = [(name, getattr(audit, name)) for name in ("reflexive", "antisymmetric", "transitive")]
-    lines.append("  laws:" + "".join(_law(name, verdict) for name, verdict in laws))
-    lines.append(f"  maximal: {_bracketed(maximal)}")
-    payload = {"pairs": [[p, q] for p, q in ordered], "maximal": list(maximal)}
-    payload.update((name, verdict.holds) for name, verdict in laws)
+def _order_sections(g, variants):
+    """The natural-order sections of ``order``: their text lines, and each
+    variant's payload by name."""
+    from .order import maximal_elements, natural_order, order_law_audit
+
+    lines, payload = [], {}
+    for variant in variants:
+        rel = natural_order(g, variant)
+        ordered = rel.sorted_pairs()
+        audit = order_law_audit(rel)
+        maximal = maximal_elements(g, variant)
+        lines.append(f"natural {variant.value}: {len(ordered)} pairs")
+        lines.extend(f"  {p} <= {q}" for p, q in ordered)
+        laws = [
+            (name, getattr(audit, name)) for name in ("reflexive", "antisymmetric", "transitive")
+        ]
+        lines.append("  laws:" + "".join(_law(name, verdict) for name, verdict in laws))
+        lines.append(f"  maximal: {_bracketed(maximal)}")
+        section = payload[variant.value] = {
+            "pairs": [[p, q] for p, q in ordered], "maximal": list(maximal)
+        }
+        section.update((name, verdict.holds) for name, verdict in laws)
     return lines, payload
 
 
 def _cmd_order(args):
+    from .order import (
+        OrderRelation,
+        OrderVariant,
+        _characterization,
+        check_order_axioms,
+        full_elements,
+    )
+
     loaded = _resolve_input(args.input)
     g = loaded.finite(_budget(args))
     variants = (
         list(OrderVariant) if args.variant == "all" else [OrderVariant(args.variant)]
     )
-    lines = [f"input: {loaded.label}"]
-    payload = {"input": loaded.label, "natural": {}}
-    for variant in variants:
-        section_lines, section_payload = _order_section(g, variant)
-        lines.extend(section_lines)
-        payload["natural"][variant.value] = section_payload
+    natural_lines, natural = _order_sections(g, variants)
+    lines = [f"input: {loaded.label}", *natural_lines]
+    payload = {"input": loaded.label, "natural": natural}
     # both-full is left-full and right-full, so two passes give all three
     left, right = full_elements(g, OrderVariant.LEFT), full_elements(g, OrderVariant.RIGHT)
     both = set(left).intersection(right)

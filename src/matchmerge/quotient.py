@@ -79,10 +79,11 @@ def congruence_classes(
     """Partition the carrier by mutual absorption, verifying every law.
 
     Word idempotence up to the bound is a precondition.  The relation is
-    symmetric by construction; reflexivity, transitivity and compatibility
-    with composition are then checked exhaustively, and a failure is
-    reported as a structured violation (it signals the bound was too low
-    for this input, not a bug here).
+    symmetric by construction, and reflexive by the precondition: at word
+    length 1 it is I, so both groupings of p p p are p.  Transitivity and
+    compatibility with composition are then checked exhaustively, and a
+    failure is reported as a structured violation (it signals the bound was
+    too low for this input, not a bug here).
 
     Each element's related set is listed in carrier order, and once the
     relation is an equivalence that list is the element's class.
@@ -98,9 +99,6 @@ def congruence_classes(
     absorbs = {(p, q) for p, q in g.pairs() if _sandwich(g.table, p, q) == {p}}
     related = {(p, q) for p, q in absorbs if (q, p) in absorbs}
     up = {p: tuple(q for q in g.elements if (p, q) in related) for p in g.elements}
-    for p in g.elements:
-        if (p, p) not in related:
-            raise CongruenceError("reflexivity", (p,))
     for p in g.elements:
         for q in up[p]:
             for r in up[q]:

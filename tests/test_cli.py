@@ -308,7 +308,6 @@ SEMILATTICE = {
     ids=["partial-order", "not-partial-order", "non-reflexive-domain"],
 )
 def test_user_order_is_audited_once(capsys, monkeypatch, tmp_path, doc, tail):
-    import matchmerge.cli as cli_module
     import matchmerge.order as order_module
 
     audits, axiom_checks = [], []
@@ -320,11 +319,13 @@ def test_user_order_is_audited_once(capsys, monkeypatch, tmp_path, doc, tail):
 
         return wrapper
 
-    for module in (cli_module, order_module):
-        monkeypatch.setattr(module, "order_law_audit", counting(audits, module.order_law_audit))
-        monkeypatch.setattr(
-            module, "check_order_axioms", counting(axiom_checks, module.check_order_axioms)
-        )
+    # the command looks both names up on the order module, as check_order_axioms does
+    monkeypatch.setattr(
+        order_module, "order_law_audit", counting(audits, order_module.order_law_audit)
+    )
+    monkeypatch.setattr(
+        order_module, "check_order_axioms", counting(axiom_checks, order_module.check_order_axioms)
+    )
     path = tmp_path / "ord.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, _ = invoke(capsys, "order", str(path), "--variant", "both")
@@ -490,7 +491,7 @@ def test_order_sorts_each_relation_once_and_scans_each_side_once(capsys, monkeyp
     import matchmerge.order as order_module
 
     sorts, scans = [], []
-    full_elements = cli.full_elements
+    full_elements = order_module.full_elements
 
     def counting_sorted(*args, **kwargs):
         sorts.append(args)
@@ -501,7 +502,7 @@ def test_order_sorts_each_relation_once_and_scans_each_side_once(capsys, monkeyp
         return full_elements(g, side)
 
     monkeypatch.setattr(order_module, "sorted", counting_sorted, raising=False)
-    monkeypatch.setattr(cli, "full_elements", counting_full)
+    monkeypatch.setattr(order_module, "full_elements", counting_full)
     code, out, _ = invoke(capsys, "order", "fixtures/twoblock", "--format", "machine")
     assert code == 0
     # one sort per natural relation, shared by its section and its law audit
