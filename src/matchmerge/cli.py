@@ -97,6 +97,9 @@ def _parse_instance(arg: str | None, loaded: CliInput):
             elif not loaded.records:
                 raise LoadError(arg, "record instance given for a groupoid input")
             else:
+                for i, record in enumerate(doc.records):
+                    if not loaded.host.features(record):
+                        raise LoadError(arg, f"instance[{i}] has no key attribute")
                 return list(doc.records)
             break
     else:

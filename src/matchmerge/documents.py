@@ -54,6 +54,16 @@ def _expect(condition: bool, path, message: str):
         raise LoadError(path, message)
 
 
+def _members(data, path, *keys) -> list:
+    """The values of ``keys`` in ``data``, once ``data`` is checked to be an
+    object and then to hold each key, in the order given."""
+    _expect(isinstance(data, dict), path, "top-level value must be an object")
+    for key in keys:
+        if key not in data:
+            raise LoadError(path, f"missing key '{key}'")
+    return [data[key] for key in keys]
+
+
 def load_document(path) -> GroupoidDocument | RecordsDocument:
     """Parse a groupoid document (an ``elements`` key) or a records document
     (a ``records`` key), reading the file once."""
@@ -77,16 +87,12 @@ def load_groupoid(path) -> GroupoidDocument:
 
 
 def _groupoid_document(data, path) -> GroupoidDocument:
-    _expect(isinstance(data, dict), path, "top-level value must be an object")
-    _expect("elements" in data, path, "missing key 'elements'")
-    _expect("compositions" in data, path, "missing key 'compositions'")
-    elements = data["elements"]
+    elements, compositions = _members(data, path, "elements", "compositions")
     _expect(
         isinstance(elements, list) and all(isinstance(e, str) for e in elements),
         path,
         "'elements' must be an array of strings",
     )
-    compositions = data["compositions"]
     _expect(isinstance(compositions, list), path, "'compositions' must be an array")
     table = {}
     # runs once per composition: indexed tests, and messages built only on failure
@@ -171,16 +177,12 @@ def load_records(path) -> RecordsDocument:
 
 
 def _records_document(data, path) -> RecordsDocument:
-    _expect(isinstance(data, dict), path, "top-level value must be an object")
-    _expect("records" in data, path, "missing key 'records'")
-    _expect("key_attributes" in data, path, "missing key 'key_attributes'")
-    keys = data["key_attributes"]
+    raw, keys = _members(data, path, "records", "key_attributes")
     _expect(
         isinstance(keys, list) and keys and all(isinstance(k, str) for k in keys),
         path,
         "'key_attributes' must be a non-empty array of strings",
     )
-    raw = data["records"]
     _expect(isinstance(raw, list) and raw, path, "'records' must be a non-empty array")
     records = tuple(_parse_record(entry, path, "records", i) for i, entry in enumerate(raw))
     for i, record in enumerate(records):
@@ -191,17 +193,12 @@ def _records_document(data, path) -> RecordsDocument:
 
 def load_digraph(path) -> Digraph:
     """Parse a digraph document: ``nodes`` plus ``arcs``."""
-    data = _read_json(path)
-    _expect(isinstance(data, dict), path, "top-level value must be an object")
-    _expect("nodes" in data, path, "missing key 'nodes'")
-    _expect("arcs" in data, path, "missing key 'arcs'")
-    nodes = data["nodes"]
+    nodes, arcs = _members(_read_json(path), path, "nodes", "arcs")
     _expect(
         isinstance(nodes, list) and all(isinstance(n, str) for n in nodes),
         path,
         "'nodes' must be an array of strings",
     )
-    arcs = data["arcs"]
     _expect(isinstance(arcs, list), path, "'arcs' must be an array of [u, v] pairs")
     parsed = []
     for i, entry in enumerate(arcs):
@@ -221,10 +218,7 @@ def load_digraph(path) -> Digraph:
 def load_instance(path) -> InstanceDocument:
     """Parse an instance document: ids for explicit groupoids, or inline
     record objects for the record adapter."""
-    data = _read_json(path)
-    _expect(isinstance(data, dict), path, "top-level value must be an object")
-    _expect("instance" in data, path, "missing key 'instance'")
-    members = data["instance"]
+    (members,) = _members(_read_json(path), path, "instance")
     _expect(isinstance(members, list) and members, path, "'instance' must be a non-empty array")
     if all(isinstance(m, str) for m in members):
         return InstanceDocument(element_ids=tuple(members))

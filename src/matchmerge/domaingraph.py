@@ -61,8 +61,7 @@ def connected_components(dg: DomainGraph) -> list[Component]:
     """Components of the symmetric view, in carrier order of their first node.
 
     One pass over the table files each composition into its component's
-    sub-table when its value stays inside, and re-checks that none crosses
-    components; a crossing pair would contradict the graph construction itself.
+    sub-table when its value stays inside.
     """
     parent = {n: n for n in dg.nodes}
 
@@ -84,10 +83,6 @@ def connected_components(dg: DomainGraph) -> list[Component]:
     tables: dict[ElementId, dict[Pair, ElementId]] = {root: {} for root in groups}
     for (x, y), v in dg.groupoid.table.items():
         root = root_of[x]
-        if root != root_of[y]:  # pragma: no cover - structurally impossible
-            raise InternalInvariantError(
-                f"composition ({x!r}, {y!r}) crosses components"
-            )
         if root_of[v] == root:
             tables[root][(x, y)] = v
     return [
@@ -118,7 +113,7 @@ def is_total(g: FiniteGroupoid) -> TotalityReport:
             witness=(x, y),
         )
     missing = next((pq for pq in g.pairs() if pq not in g.table), None)
-    index = {e: i for i, e in enumerate(g.elements)}
+    index = g._position
     undirected = {(x, y) if index[x] <= index[y] else (y, x) for x, y in g.table}
     graph_complete = all(
         (x, y) in undirected
@@ -170,7 +165,7 @@ def clique_cover(dg: DomainGraph) -> CliqueCover:
     every mutual edge is acceptable.
     """
     g = dg.groupoid
-    index = {e: i for i, e in enumerate(dg.nodes)}
+    index = g._position
     neighbours = {n: set() for n in dg.nodes}
     for x, y in dg.edges:
         if x != y and (y, x) in dg.edges:

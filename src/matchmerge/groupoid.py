@@ -44,6 +44,20 @@ class Verdict:
         return self.holds
 
 
+class _Rows(dict):
+    """x -> [(y, x o y)] over the defined entries of x's row, in carrier
+    order; each row is built from the table on its first request."""
+
+    def __init__(self, elements, table):
+        super().__init__()
+        self.elements, self.table = elements, table
+
+    def __missing__(self, x):
+        table = self.table
+        row = self[x] = [(y, xy) for y in self.elements if (xy := table.get((x, y))) is not None]
+        return row
+
+
 @dataclass(frozen=True)
 class FiniteGroupoid:
     """Explicit partial groupoid: an ordered carrier plus a composition table.
@@ -66,6 +80,11 @@ class FiniteGroupoid:
     _derived: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    # The defined entries of each row, ``x -> [(y, x o y)]`` in carrier
+    # order, built on first request and kept here for the table's life:
+    # ``defined_pairs``, the A/CA/SA scan and NR all read this one map.
+    # Valid only because ``table`` never changes.
+    _rows: _Rows = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         elements = tuple(self.elements)
@@ -89,6 +108,7 @@ class FiniteGroupoid:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "_rows", _Rows(elements, table))
 
     # -- carrier -----------------------------------------------------------
     def __contains__(self, element: ElementId) -> bool:
@@ -145,9 +165,8 @@ class FiniteGroupoid:
 
     def defined_pairs(self) -> Iterator[Pair]:
         """The composition domain, enumerated in carrier order."""
-        for x, y in self.pairs():
-            if (x, y) in self.table:
-                yield (x, y)
+        rows = self._rows
+        return ((x, y) for x in self.elements for y, _ in rows[x])
 
     def restrict(self, subset: Iterable[ElementId]) -> FiniteGroupoid:
         """Partial subgroupoid on ``subset``: compositions whose operands and

@@ -240,7 +240,7 @@ def check_order_axioms(g: FiniteGroupoid, rel: OrderRelation) -> OrderAxiomsRepo
         return Verdict(True)
 
     # In g's carrier order, which a relation's own carrier need not follow.
-    ordered = sorted(rel.pairs, key=lambda pq: (g.position(pq[0]), g.position(pq[1])))
+    ordered = sorted(rel.pairs, key=lambda pq: (g._position[pq[0]], g._position[pq[1]]))
 
     def compat(left_side: bool) -> Verdict:
         for p1, p2 in ordered:
@@ -319,7 +319,7 @@ def _characterization(
     failed_properties = tuple(str(p) for p in ICAR if not check_property(g, p).holds)
 
     natural = natural_order(g, OrderVariant.BOTH)
-    index = {e: i for i, e in enumerate(g.elements)}
+    index = g._position
     discrepancy = min(
         rel.pairs ^ natural.pairs, key=lambda pq: (index[pq[0]], index[pq[1]]), default=None
     )

@@ -4,9 +4,11 @@ Each family of laws is decided by one scan of the whole carrier (elements,
 pairs, triples, or bounded words) in carrier order, which reports the first
 violation of each law as a replayable witness, so two runs on the same input
 always return the same verdict.  Where only defined compositions can fail
-a law, a scan reads the defined entries of a row: the triple scan once SA
-has a witness, and NR, whose defined words are built from shorter defined
-words one first letter at a time.
+a law, a scan reads the defined entries of a row, from the one row map each
+table keeps (each row built once, on first request): the representativity
+scan through ``defined_pairs``, the triple scan once SA has a witness, and
+NR, whose defined words are built from shorter defined words one first
+letter at a time.
 
 Idempotence and strong associativity together imply word idempotence (NR)
 at every bound.  Under SA both groupings of any three factors are defined
@@ -136,20 +138,6 @@ def _scan_representativity(g: FiniteGroupoid):
     return left, right, left or right
 
 
-class _Rows(dict):
-    """x -> [(y, x o y)] over the defined entries of x's row, in carrier
-    order; each row is built from ``g.table`` on its first request."""
-
-    def __init__(self, g: FiniteGroupoid):
-        super().__init__()
-        self.table, self.elements = g.table, g.elements
-
-    def __missing__(self, x):
-        table = self.table
-        row = self[x] = [(y, xy) for y in self.elements if (xy := table.get((x, y))) is not None]
-        return row
-
-
 def _scan_triples(g: FiniteGroupoid):
     """With ab = p1 o p2 and bc = p2 o p3:
     A: when both full groupings are defined, they agree.
@@ -159,19 +147,16 @@ def _scan_triples(g: FiniteGroupoid):
     Until SA has a witness, a cell (p1, p2) with ab undefined can fail only
     SA, at the first p3 in p2's row with p1 o bc defined; every other cell
     tries every p3.  Once SA has a witness, only A and CA can fail, and both
-    need ab and bc defined, so the rest of the scan walks p1's row and then
-    p2's row.  A total associative table never builds a row."""
-    table, elements, position = g.table, g.elements, g._position
-    rows = _Rows(g)
+    need ab and bc defined: the scan finishes the current p1 in this cell
+    loop, and for each later p1 walks p1's row and then p2's row, the rows
+    the table keeps.  A total associative table never builds a row."""
+    table, elements, rows = g.table, g.elements, g._rows
     ca = sa = None
     for p1 in elements:
-        done = -1  # the cells (p1, p2) with p2 at or before this position are scanned
         if sa is None:
             for p2 in elements:
                 ab = table.get((p1, p2))
-                if ab is None:
-                    sa = next(((p1, p2, p3) for p3, bc in rows[p2] if (p1, bc) in table), None)
-                else:
+                if ab is not None:
                     for p3 in elements:
                         bc = table.get((p2, p3))
                         left = table.get((ab, p3))
@@ -186,14 +171,10 @@ def _scan_triples(g: FiniteGroupoid):
                             sa = sa or w
                         if bc is not None:
                             ca = ca or w
-                if sa:
-                    done = position[p2]
-                    break
-            if sa is None:
-                continue
+                elif sa is None:
+                    sa = next(((p1, p2, p3) for p3, bc in rows[p2] if (p1, bc) in table), None)
+            continue
         for p2, ab in rows[p1]:
-            if position[p2] <= done:
-                continue
             for p3, bc in rows[p2]:
                 left = table.get((ab, p3))
                 right = table.get((p1, bc))
@@ -258,7 +239,7 @@ def _word_idempotence_witness(g: FiniteGroupoid, bound: int):
         return idempotent.witness
     if check_property(g, Property.STRONGLY_ASSOCIATIVE).holds:
         return None
-    row = _Rows(g)
+    row = g._rows
     # starting[m][a]: the defined words of length m that start with a, each
     # with its product; holding[m][y]: the defined words of length m whose
     # product holds y

@@ -59,6 +59,15 @@ class ERResult:
 merge_closure = generated_subgroupoid
 
 
+def _require(g: FiniteGroupoid, laws, requirement: str):
+    """Raise ``HypothesesNotSatisfiedError`` with the failing verdicts of
+    ``laws`` on ``g``, in the order given, unless every law holds."""
+    failing = [v for v in (check_property(g, p) for p in laws) if not v.holds]
+    if failing:
+        names = ", ".join(str(v.property) for v in failing)
+        raise HypothesesNotSatisfiedError(f"{requirement}; failing: {names}", failing)
+
+
 def er_bruteforce(closure: ClosureResult) -> ERResult:
     """Minimal dominating subset of the closure, by exhaustive subset scan.
 
@@ -110,14 +119,8 @@ def er_maximal(closure: ClosureResult) -> ERResult:
     those are what make the natural order reflexive and transitive.
     """
     g = _closed_groupoid(closure)
-    idem = check_property(g, Property.IDEMPOTENT)
-    catenary = check_property(g, Property.CATENARY_ASSOCIATIVE)
-    failing = [v for v in (idem, catenary) if not v.holds]
-    if failing:
-        names = ", ".join(str(v.property) for v in failing)
-        raise HypothesesNotSatisfiedError(
-            f"er_maximal requires I and CA; failing: {names}", failing
-        )
+    laws = (Property.IDEMPOTENT, Property.CATENARY_ASSOCIATIVE)
+    _require(g, laws, "er_maximal requires I and CA")
     resolved = tuple(sorted(maximal_elements(g, OrderVariant.BOTH)))
     return ERResult("maximal", resolved, "maximal elements under the natural order")
 
@@ -148,12 +151,7 @@ def r_swoosh(
     if not members:
         raise ValueError("instance must be non-empty")
     if isinstance(groupoid, FiniteGroupoid):
-        failing = [v for v in (check_property(groupoid, p) for p in ICAR) if not v.holds]
-        if failing:
-            names = ", ".join(str(v.property) for v in failing)
-            raise HypothesesNotSatisfiedError(
-                f"r_swoosh requires I, SC, A and R; failing: {names}", failing
-            )
+        _require(groupoid, ICAR, "r_swoosh requires I, SC, A and R")
     elif not groupoid.declares_icar:
         raise HypothesesNotSatisfiedError(
             "black-box groupoid does not declare the required properties;"

@@ -371,6 +371,22 @@ def test_record_instance_document_on_a_groupoid_exits_two(capsys, tmp_path):
     assert err == f"error: {path}: record instance given for a groupoid input\n"
 
 
+def test_record_instance_without_a_key_attribute_exits_two(capsys, tmp_path):
+    # a record with no "name" value matches nothing, not even itself, so
+    # neither rswoosh nor auto may run on it; a records document refuses it too
+    path = _instance_doc(tmp_path, [{"name": ["ann"]}, {"mail": ["m9"]}])
+    for method in ("rswoosh", "auto", "full"):
+        code, out, err = invoke(
+            capsys, "er", "fixtures/records", "--instance", path, "--method", method
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: instance[1] has no key attribute\n"
+    code, _, err = invoke(capsys, "closure", "fixtures/records", "--instance", path)
+    assert code == 2
+    assert err == f"error: {path}: instance[1] has no key attribute\n"
+
+
 def test_instance_document_ids_outside_the_carrier_exit_two(capsys, tmp_path):
     path = _instance_doc(tmp_path, ["zz"])
     for command in ("er", "closure"):

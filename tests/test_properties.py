@@ -227,8 +227,10 @@ def _scrambled(g: FiniteGroupoid, rng: random.Random) -> FiniteGroupoid:
 
 
 def _assert_triple_laws_match_oracle(g: FiniteGroupoid) -> dict:
+    """A, CA and SA, and Rl, Rr and R, whose scan reads the table's rows
+    through ``defined_pairs``, against the oracle; returns the first three."""
     expected = first_violations(g)
-    for p in _TRIPLE_LAWS:
+    for p in _TRIPLE_LAWS + (P.LEFT_REPRESENTATIVE, P.RIGHT_REPRESENTATIVE, P.REPRESENTATIVE):
         witness = expected[str(p)]
         want = PropertyVerdict(p, witness is None, witness, _universe(g, p))
         assert check_property(g, p) == want, (p, g.elements, g.table)
@@ -300,17 +302,24 @@ def test_triple_scan_finds_catenary_associativity_after_strong_associativity():
     }
 
 
-def test_triple_scan_builds_no_row_of_a_total_associative_table(monkeypatch):
-    import matchmerge.properties as properties
+def _count_row_builds(monkeypatch) -> list:
+    """Patch the row builder of every table; returns the list of the
+    elements whose row is built, in build order."""
+    import matchmerge.groupoid as groupoid
 
     built = []
-    original = properties._Rows.__missing__
+    original = groupoid._Rows.__missing__
 
     def counting(self, x):
         built.append(x)
         return original(self, x)
 
-    monkeypatch.setattr(properties._Rows, "__missing__", counting)
+    monkeypatch.setattr(groupoid._Rows, "__missing__", counting)
+    return built
+
+
+def test_triple_scan_builds_no_row_of_a_total_associative_table(monkeypatch):
+    built = _count_row_builds(monkeypatch)
     g = builtin("maxnat", 6)
     assert all(check_property(g, p).holds for p in _TRIPLE_LAWS)
     assert built == []
@@ -432,25 +441,26 @@ def test_word_idempotence_stops_at_an_early_witness_of_a_dense_table():
 
 
 def test_word_idempotence_builds_only_the_rows_it_reads(monkeypatch):
-    import matchmerge.properties as properties
-
     # a total idempotent table that fails SA, and NR at its second word (a, b)
     rng = random.Random(3)
     elements = tuple("abcdefghijkl")
     table = {(x, y): x if x == y else rng.choice(elements) for x in elements for y in elements}
     g = FiniteGroupoid(elements, table)
     assert not check_property(g, P.STRONGLY_ASSOCIATIVE).holds
-    built = []
-    original = properties._Rows.__missing__
-
-    def counting(self, x):
-        built.append(x)
-        return original(self, x)
-
-    monkeypatch.setattr(properties._Rows, "__missing__", counting)
+    g._rows.clear()  # count NR's own requests, not the triple scan's
+    built = _count_row_builds(monkeypatch)
     assert _assert_nr_matches_oracle(g, 3) == ("a", "b")
     # the words of length 2 that start with a need a's row only
     assert built == ["a"]
+
+
+def test_a_property_report_builds_each_row_of_a_table_once(monkeypatch):
+    # a successor chain with loops: I holds and SA fails, so the triple
+    # scan, the representativity scan and NR all read rows of the one table
+    built = _count_row_builds(monkeypatch)
+    property_report(builtin("uchain", 12), 3)
+    assert built
+    assert len(built) == len(set(built))
 
 
 def test_word_idempotence_needs_strong_associativity_not_associativity():

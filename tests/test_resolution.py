@@ -500,6 +500,7 @@ def test_maximal_refuses_p1_for_missing_catenary_associativity(p1):
     closure = merge_closure(p1, ["a", "b", "c"])
     with pytest.raises(HypothesesNotSatisfiedError) as err:
         er_maximal(closure)
+    assert str(err.value) == "er_maximal requires I and CA; failing: CA"
     (verdict,) = err.value.verdicts
     assert verdict.property is Property.CATENARY_ASSOCIATIVE
     assert verdict.witness == ("a", "b", "c")
@@ -559,8 +560,10 @@ def test_icar_dispatch_evaluates_no_word_products(monkeypatch, capsys):
 
 
 def test_rswoosh_lists_failing_properties_in_icar_order(q2):
-    with pytest.raises(HypothesesNotSatisfiedError, match="failing: I, SC, A, R$"):
+    with pytest.raises(HypothesesNotSatisfiedError, match="failing: I, SC, A, R$") as err:
         r_swoosh(q2, q2.elements)
+    assert str(err.value) == "r_swoosh requires I, SC, A and R; failing: I, SC, A, R"
+    assert [str(v.property) for v in err.value.verdicts] == ["I", "SC", "A", "R"]
 
 
 def test_rswoosh_refuses_non_icar_finite_groupoid(p1):
