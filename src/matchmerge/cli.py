@@ -374,12 +374,25 @@ def _cmd_quotient(args):
 # -- order -------------------------------------------------------------------
 
 
-def _order_sections(g, variants):
-    """The natural-order sections of ``order``: their text lines, and each
-    variant's payload by name."""
-    from .order import maximal_elements, natural_order, order_law_audit
+def _cmd_order(args):
+    from .order import (
+        OrderRelation,
+        OrderVariant,
+        _characterization,
+        check_order_axioms,
+        full_elements,
+        maximal_elements,
+        natural_order,
+        order_law_audit,
+    )
 
-    lines, payload = [], {}
+    loaded = _resolve_input(args.input)
+    g = loaded.finite(_budget(args))
+    variants = (
+        list(OrderVariant) if args.variant == "all" else [OrderVariant(args.variant)]
+    )
+    lines = [f"input: {loaded.label}"]
+    payload = {"input": loaded.label, "natural": {}}
     for variant in variants:
         rel = natural_order(g, variant)
         ordered = rel.sorted_pairs()
@@ -392,30 +405,10 @@ def _order_sections(g, variants):
         ]
         lines.append("  laws:" + "".join(_law(name, verdict) for name, verdict in laws))
         lines.append(f"  maximal: {_bracketed(maximal)}")
-        section = payload[variant.value] = {
+        section = payload["natural"][variant.value] = {
             "pairs": [[p, q] for p, q in ordered], "maximal": list(maximal)
         }
         section.update((name, verdict.holds) for name, verdict in laws)
-    return lines, payload
-
-
-def _cmd_order(args):
-    from .order import (
-        OrderRelation,
-        OrderVariant,
-        _characterization,
-        check_order_axioms,
-        full_elements,
-    )
-
-    loaded = _resolve_input(args.input)
-    g = loaded.finite(_budget(args))
-    variants = (
-        list(OrderVariant) if args.variant == "all" else [OrderVariant(args.variant)]
-    )
-    natural_lines, natural = _order_sections(g, variants)
-    lines = [f"input: {loaded.label}", *natural_lines]
-    payload = {"input": loaded.label, "natural": natural}
     # both-full is left-full and right-full, so two passes give all three
     left, right = full_elements(g, OrderVariant.LEFT), full_elements(g, OrderVariant.RIGHT)
     both = set(left).intersection(right)

@@ -37,9 +37,7 @@ def _read_json(path) -> object:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(path, str(exc)) from exc
-    except UnicodeDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LoadError(path, str(exc)) from exc
     try:
         return json.loads(text)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainNotSymmetricError, InternalInvariantError
+from .errors import DomainNotSymmetricError
 from .groupoid import ElementId, FiniteGroupoid, Pair
 from .properties import Property, check_property
 
@@ -102,8 +102,9 @@ class TotalityReport:
 def is_total(g: FiniteGroupoid) -> TotalityReport:
     """Is every ordered pair defined?  Requires a symmetric domain.
 
-    Cross-checks the graph criterion: with a symmetric domain, totality is
-    the same as the symmetric view being complete with a loop on every node.
+    With a symmetric domain, totality is the graph criterion: the symmetric
+    view is complete (every ``(x, y)`` with ``x`` before ``y`` is defined) and
+    has a loop on every node.  Both halves are read off the table.
     """
     symmetric = check_property(g, Property.SYMMETRIC)
     if not symmetric.holds:
@@ -113,18 +114,11 @@ def is_total(g: FiniteGroupoid) -> TotalityReport:
             witness=(x, y),
         )
     missing = next((pq for pq in g.pairs() if pq not in g.table), None)
-    index = g._position
-    undirected = {(x, y) if index[x] <= index[y] else (y, x) for x, y in g.table}
     graph_complete = all(
-        (x, y) in undirected
-        for i, x in enumerate(g.elements)
-        for y in g.elements[i + 1 :]
+        (x, y) in g.table for i, x in enumerate(g.elements) for y in g.elements[i + 1 :]
     )
-    loops_complete = all((x, x) in undirected for x in g.elements)
-    total = missing is None
-    if total != (graph_complete and loops_complete):  # pragma: no cover
-        raise InternalInvariantError("totality and graph completeness disagree")
-    return TotalityReport(total, missing, graph_complete, loops_complete)
+    loops_complete = all((x, x) in g.table for x in g.elements)
+    return TotalityReport(missing is None, missing, graph_complete, loops_complete)
 
 
 def _grow_clique(nodes: tuple, neighbours: dict, start: list) -> tuple[ElementId, ...]:

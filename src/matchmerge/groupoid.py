@@ -117,10 +117,6 @@ class FiniteGroupoid:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def position(self, element: ElementId) -> int:
-        self.require(element)
-        return self._position[element]
-
     def require(self, element: ElementId) -> ElementId:
         if element not in self._position:
             raise ForeignElementError(element)

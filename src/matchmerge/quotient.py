@@ -64,15 +64,6 @@ def mutually_absorbing(g: FiniteGroupoid, p: ElementId, q: ElementId) -> bool:
     return _sandwich(g.table, p, q) == {p} and _sandwich(g.table, q, p) == {q}
 
 
-def _require_word_idempotent(g: FiniteGroupoid, bound: int):
-    verdict = check_property(g, Property.WORD_IDEMPOTENT, bound)
-    if not verdict.holds:
-        raise HypothesesNotSatisfiedError(
-            f"word idempotence fails at bound {bound}: witness {verdict.witness!r}",
-            (verdict,),
-        )
-
-
 def congruence_classes(
     g: FiniteGroupoid, nr_word_bound: int = DEFAULT_WORD_BOUND
 ) -> CongruenceClasses:
@@ -94,7 +85,10 @@ def congruence_classes(
     decides; only a failing pass searches the pairs of related pairs, in
     sorted id order, for the witness.
     """
-    _require_word_idempotent(g, nr_word_bound)
+    nr = check_property(g, Property.WORD_IDEMPOTENT, nr_word_bound)
+    if not nr.holds:
+        message = f"word idempotence fails at bound {nr_word_bound}: witness {nr.witness!r}"
+        raise HypothesesNotSatisfiedError(message, (nr,))
     # p survives the sandwich by q; each ordered pair's word is evaluated once
     absorbs = {(p, q) for p, q in g.pairs() if _sandwich(g.table, p, q) == {p}}
     related = {(p, q) for p, q in absorbs if (q, p) in absorbs}
@@ -167,12 +161,22 @@ def quotient_idempotence_check(
 ) -> Verdict:
     """Quotienting twice changes nothing.
 
-    After one quotient every class must be a singleton, so the second
-    quotient is the identity on representatives; the verdict carries the
-    first non-singleton class otherwise.
+    The second quotient is built from the first, whose own word products
+    need not satisfy the hypotheses again.  The verdict fails with the first
+    non-singleton class of the second quotient, or with the quotient's NR or
+    congruence witness when it cannot be quotiented at all.  Without CA the
+    check can fail: {aa=a, bb=b, cc=c, ab=a, ba=b, bc=b, ca=c} passes NR,
+    and its quotient on {a, c} is a left-zero band, one class.  With CA it
+    held on every sample tried (34,151 CA sources among 120,000 random
+    idempotent tables of 2-5 elements), which is observed, not proved.
     """
     first = quotient(g, nr_word_bound)
-    second = quotient(first.groupoid, nr_word_bound)
+    try:
+        second = quotient(first.groupoid, nr_word_bound)
+    except HypothesesNotSatisfiedError as exc:
+        return Verdict(False, exc.verdicts[0].witness, "word idempotence fails on the quotient")
+    except CongruenceError as exc:
+        return Verdict(False, exc.witness, f"{exc.law} fails on the quotient")
     if second.groupoid == first.groupoid:
         return Verdict(True, detail="second quotient is the identity")
     offender = next(

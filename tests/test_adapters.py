@@ -58,6 +58,11 @@ def test_record_rejects_a_string_as_a_value_set():
             make()
 
 
+def test_record_rejects_no_attributes():
+    with pytest.raises(ValueError, match="record must have at least one attribute"):
+        Record({})
+
+
 def test_record_rejects_names_that_collide_as_strings():
     with pytest.raises(ValueError, match="duplicate attribute '1'"):
         Record({1: ["a"], "1": ["b"]})

@@ -387,6 +387,34 @@ def test_record_instance_without_a_key_attribute_exits_two(capsys, tmp_path):
     assert err == f"error: {path}: instance[1] has no key attribute\n"
 
 
+def test_record_instance_document_resolves_records_outside_the_input(capsys, tmp_path):
+    # instance records are taken as given: the second is in no input record
+    path = _instance_doc(
+        tmp_path, [{"name": ["ann"], "phone": ["p1"]}, {"name": ["ann"], "tel": ["t9"]}]
+    )
+    merged = '{"name":["ann"],"phone":["p1"],"tel":["t9"]}'
+    code, out, err = invoke(capsys, "closure", "fixtures/records", "--instance", path)
+    assert (code, err) == (0, "")
+    assert out.endswith(
+        f'elements:\n  {merged}\n  {{"name":["ann"],"phone":["p1"]}}\n'
+        '  {"name":["ann"],"tel":["t9"]}\n'
+    )
+    code, out, err = invoke(
+        capsys, "er", "fixtures/records", "--instance", path, "--format", "machine"
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["resolved"] == [merged]
+    assert payload["closure"]["status"] == "closed"
+
+
+def test_empty_inline_instance_exits_two(capsys):
+    for command in ("er", "closure"):
+        code, out, err = invoke(capsys, command, "fixtures/p1", "--instance", ",")
+        assert (code, out) == (2, "")
+        assert err == "error: ,: empty instance\n"
+
+
 def test_instance_document_ids_outside_the_carrier_exit_two(capsys, tmp_path):
     path = _instance_doc(tmp_path, ["zz"])
     for command in ("er", "closure"):
@@ -596,6 +624,12 @@ def test_budget_below_one_exits_two(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert err.endswith(f"argument {flag}: budget must be at least 1, got {value}\n")
+
+
+def test_budget_that_is_not_an_int_exits_two(capsys):
+    code, out, err = invoke(capsys, "closure", "fixtures/chain12", "--budget-elements", "x")
+    assert (code, out) == (2, "")
+    assert err.endswith("argument --budget-elements: invalid int value: 'x'\n")
 
 
 SURFACE = [

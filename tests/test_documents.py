@@ -118,13 +118,50 @@ def test_duplicate_composition_pair_is_a_load_error(tmp_path):
             {"instance": [{"name": ["ann"]}, {}]},
             "instance[1]: record must have at least one attribute",
         ),
+        (load_groupoid, [], "top-level value must be an object"),
+        (
+            load_groupoid,
+            {"elements": ["a", 1], "compositions": []},
+            "'elements' must be an array of strings",
+        ),
+        (load_groupoid, {"elements": ["a"], "compositions": {}}, "'compositions' must be an array"),
+        (
+            load_groupoid,
+            {"elements": ["a"], "compositions": [], "order": "a"},
+            "'order' must be an array of [p, q] pairs",
+        ),
+        (
+            load_records,
+            {"key_attributes": [], "records": [{"name": ["ann"]}]},
+            "'key_attributes' must be a non-empty array of strings",
+        ),
+        (
+            load_records,
+            {"key_attributes": ["name"], "records": []},
+            "'records' must be a non-empty array",
+        ),
+        (load_digraph, {"nodes": "u", "arcs": []}, "'nodes' must be an array of strings"),
+        (load_digraph, {"nodes": ["u"], "arcs": {}}, "'arcs' must be an array of [u, v] pairs"),
+        (
+            load_digraph,
+            {"nodes": ["u", "v"], "arcs": [["u", "v"], ["v"]]},
+            "arcs[1] must be a [u, v] pair of strings",
+        ),
+        (
+            load_digraph,
+            {"nodes": ["u", "v"], "arcs": [["u", "v"], ["u", "v"]]},
+            "duplicate arcs",
+        ),
+        (load_instance, {"instance": []}, "'instance' must be a non-empty array"),
+        (load_groupoid, None, "[Errno 2] No such file or directory: '{path}'"),
     ],
 )
 def test_load_error_messages(tmp_path, loader, payload, message):
-    path = write(tmp_path, "doc.json", payload)
+    # a payload of None writes no file
+    path = str(tmp_path / "doc.json") if payload is None else write(tmp_path, "doc.json", payload)
     with pytest.raises(LoadError) as err:
         loader(path)
-    assert str(err.value) == f"{path}: {message}"
+    assert str(err.value) == f"{path}: {message.format(path=path)}"
 
 
 def test_composition_outside_carrier_is_a_load_error(tmp_path):

@@ -63,6 +63,11 @@ def test_duplicate_elements_rejected():
         FiniteGroupoid(("a", "a"), {})
 
 
+def test_non_string_element_ids_rejected():
+    with pytest.raises(ValueError, match="element ids must be strings, got 1"):
+        FiniteGroupoid(("a", 1), {})
+
+
 def test_compose_p1_defined_pair(p1):
     assert p1.compose("a", "b") == "b"
 

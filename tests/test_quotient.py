@@ -12,6 +12,7 @@ from matchmerge import (
     FiniteGroupoid,
     HypothesesNotSatisfiedError,
     Property,
+    Verdict,
     check_homomorphism,
     check_property,
     class_semigroup_check,
@@ -154,25 +155,109 @@ def test_quotienting_twice_changes_nothing():
         assert quotient_idempotence_check(g).holds, name
 
 
-def test_quotient_stability_on_random_word_idempotent_groupoids():
+def _requotient_samples():
+    """(source is CA, re-quotient verdict) for seeded random idempotent tables
+    of 2-5 elements that pass NR and whose first quotient is built."""
     rng = random.Random(17)
-    checked = 0
-    attempts = 0
-    while checked < 25 and attempts < 4000:
-        attempts += 1
-        g = random_groupoid(rng, 3, rng.uniform(0.3, 1.0), idempotent=True)
+    samples = []
+    for _ in range(600):
+        g = random_groupoid(rng, rng.randint(2, 5), 0.6, idempotent=True)
         if not check_property(g, Property.WORD_IDEMPOTENT).holds:
             continue
         try:
-            verdict = quotient_idempotence_check(g)
-        except (HypothesesNotSatisfiedError, CongruenceError):
-            # bounded word-idempotence can pass on inputs whose word products
-            # are multi-valued; the law audit flags those instead of building
-            # a bogus quotient, which is the contract
+            quotient(g)
+        except CongruenceError:
+            # bounded word idempotence does not make the relation a
+            # congruence; the law audit refuses the input instead
             continue
-        checked += 1
-        assert verdict.holds
-    assert checked >= 10
+        ca = check_property(g, Property.CATENARY_ASSOCIATIVE).holds
+        samples.append((ca, quotient_idempotence_check(g)))
+    return samples
+
+
+def test_requotient_stable_on_random_ca_sources():
+    stable_ca = [verdict.holds for ca, verdict in _requotient_samples() if ca]
+    assert len(stable_ca) >= 100
+    assert all(stable_ca)
+
+
+def test_requotient_not_stable_on_some_random_non_ca_source():
+    assert any(not verdict.holds for ca, verdict in _requotient_samples() if not ca)
+
+
+def _idempotent_table(n: int, entries: str) -> FiniteGroupoid:
+    """``e0``..``e(n-1)``, each idempotent, plus ``entries`` like ``e0e1=e2``."""
+    elements = tuple(f"e{i}" for i in range(n))
+    table = {(e, e): e for e in elements}
+    for entry in entries.split(", "):
+        pair, value = entry.split("=")
+        table[(pair[:2], pair[2:])] = value
+    return FiniteGroupoid(elements, table)
+
+
+REQUOTIENT_NR = _idempotent_table(
+    5, "e0e3=e1, e1e4=e1, e2e0=e2, e2e4=e2, e3e0=e3, e4e1=e4, e4e2=e3"
+)
+REQUOTIENT_COMPATIBILITY = _idempotent_table(
+    4, "e0e1=e1, e0e2=e1, e0e3=e1, e1e0=e0, e2e0=e2, e2e3=e3, e3e0=e2"
+)
+
+
+def test_requotient_of_a_non_ca_source_can_collapse_again():
+    g = _idempotent_table(3, "e0e1=e0, e1e0=e1, e1e2=e1, e2e0=e2")
+    assert check_property(g, Property.WORD_IDEMPOTENT).holds
+    assert not check_property(g, Property.CATENARY_ASSOCIATIVE).holds
+    assert quotient(g).groupoid.elements == ("e0", "e2")
+    assert quotient_idempotence_check(g) == Verdict(
+        False, ("e0", "e2"), "quotient carrier still collapses"
+    )
+
+
+@pytest.mark.parametrize(
+    "g, verdict",
+    [
+        (
+            REQUOTIENT_NR,
+            Verdict(False, ("e0", "e1", "e2"), "word idempotence fails on the quotient"),
+        ),
+        (
+            REQUOTIENT_COMPATIBILITY,
+            Verdict(False, ("e0", "e2", "e3", "e3"), "compatibility fails on the quotient"),
+        ),
+    ],
+    ids=["nr", "compatibility"],
+)
+def test_requotient_failing_the_hypotheses_is_a_verdict(g, verdict):
+    # the source passes NR and its congruence laws; only its quotient fails
+    assert check_property(g, Property.WORD_IDEMPOTENT).holds
+    first = quotient(g)
+    assert quotient_idempotence_check(g) == verdict
+    with pytest.raises((HypothesesNotSatisfiedError, CongruenceError)):
+        quotient(first.groupoid)
+
+
+@pytest.mark.parametrize(
+    "g, classes",
+    [
+        (REQUOTIENT_NR, "  [e0] -> e0 (semigroup: yes)\n  [e1, e4] -> e1 (semigroup: yes)\n"),
+        (REQUOTIENT_COMPATIBILITY, "  [e0, e1] -> e0 (semigroup: yes)\n"),
+    ],
+    ids=["nr", "compatibility"],
+)
+def test_cli_quotient_reports_an_unstable_requotient(capsys, tmp_path, g, classes):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(groupoid_to_document(g)), encoding="utf-8")
+    assert run(["quotient", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert classes in captured.out
+    assert "stable under re-quotient: no\n" in captured.out
+    assert run(["quotient", str(path), "--format", "machine"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["stable_under_requotient"] is False
+    assert payload["quotient"] == groupoid_to_document(quotient(g).groupoid)
 
 
 def test_bounded_word_idempotence_does_not_guarantee_transitivity():
