@@ -103,9 +103,10 @@ def _parse_instance(arg: str | None, loaded: CliInput):
                 return list(doc.records)
             break
     else:
-        # a record id is compact JSON: split records only between "}" and "{"
+        # a record id is compact JSON: split records only between "}" and
+        # "{"; commas before the first id or after the last are no id
         separator = r"(?<=\}),(?=\{)" if loaded.records else ","
-        ids = [part for part in re.split(separator, arg) if part]
+        ids = [part for part in re.split(separator, arg.strip(",")) if part]
         if not ids:
             raise LoadError(arg, "empty instance")
     by_id = {loaded.host.key(m): m for m in loaded.members}

@@ -58,6 +58,16 @@ class _Rows(dict):
         return row
 
 
+class _Columns(_Rows):
+    """y -> [(x, x o y)] over the defined entries of y's column, in carrier
+    order; each column is built from the table on its first request."""
+
+    def __missing__(self, y):
+        table = self.table
+        column = self[y] = [(x, xy) for x in self.elements if (xy := table.get((x, y))) is not None]
+        return column
+
+
 @dataclass(frozen=True)
 class FiniteGroupoid:
     """Explicit partial groupoid: an ordered carrier plus a composition table.
@@ -82,9 +92,12 @@ class FiniteGroupoid:
     )
     # The defined entries of each row, ``x -> [(y, x o y)]`` in carrier
     # order, built on first request and kept here for the table's life:
-    # ``defined_pairs``, the A/CA/SA scan and NR all read this one map.
-    # Valid only because ``table`` never changes.
+    # ``defined_pairs``, the Rl/Rr/R scan, the A/CA/SA scan and NR all read
+    # this one map.  ``_columns`` is its transpose, ``y -> [(x, x o y)]``,
+    # built the same way; the Rl/Rr/R scan reads it.  Valid only because
+    # ``table`` never changes.
     _rows: _Rows = field(init=False, repr=False, compare=False, default=None)
+    _columns: _Columns = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         elements = tuple(self.elements)
@@ -109,6 +122,7 @@ class FiniteGroupoid:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_position", position)
         object.__setattr__(self, "_rows", _Rows(elements, table))
+        object.__setattr__(self, "_columns", _Columns(elements, table))
 
     # -- carrier -----------------------------------------------------------
     def __contains__(self, element: ElementId) -> bool:
@@ -130,7 +144,8 @@ class FiniteGroupoid:
         """Is (x, y) in the domain?  Ids outside the carrier never match.
 
         Reads through ``table.get``, so a table that counts its lookups
-        counts every match."""
+        counts every match.  ``r_swoosh`` asks it; closure does not, since
+        it reads a table's defined entries directly."""
         return self.table.get((x, y)) is not None
 
     def merge(self, x: ElementId, y: ElementId) -> ElementId:
@@ -138,7 +153,7 @@ class FiniteGroupoid:
         return self.table[(x, y)]
 
     key = require  # an element is its own id; a foreign one raises
-    features = None  # every pair is a candidate for a match
+    features = None  # for ``r_swoosh`` every pair is a candidate for a match
 
     # -- composition -------------------------------------------------------
     @property
@@ -280,35 +295,27 @@ def _close_under_composition(host, items, budget):
     """Fixed-point worklist of ``generated_subgroupoid``.
 
     ``items`` are the seeds by key, from ``_keyed_members``.  Each round
-    composes every pair with at least one operand discovered in the previous
-    round (all pairs in round one), so no pair is composed twice.  A new
-    element that would push the carrier past ``max_elements`` is dropped and
-    the run reports exhaustion.  Returns the status, the carrier's items by id, the rounds
+    composes every defined pair with at least one operand discovered in the
+    previous round (all pairs in round one), in carrier order of the pair,
+    so no pair is composed twice.  A new element that would push the
+    carrier past ``max_elements`` is dropped and the run reports
+    exhaustion.  Returns the status, the carrier's items by id, the rounds
     run, and the table ``(xid, yid) -> zid`` of the compositions evaluated
     whose value is in the carrier.
 
-    Only pairs that share a feature can match, so each ``x`` is offered the
-    carrier positions listed under its features, ascending; that skips
-    exactly the pairs that compose to nothing and keeps the order of the
-    compositions, hence the carrier order, the table and the point where
-    the budget stops the run.
+    The round's compositions come from ``_table_compositions`` on an
+    explicit host and from ``_rule_compositions`` otherwise; both skip
+    exactly the pairs that compose to nothing, so the carrier order, the
+    table and the point where the budget stops the run do not depend on
+    which one runs.
     """
-    match, merge, key, features = host.match, host.merge, host.key, host.features
     table: dict[Pair, ElementId] = {}
     if len(items) > budget.max_elements:
         return BUDGET_EXHAUSTED, items, 0, table
-
-    index: dict[object, list[int]] = {}  # feature -> carrier positions, ascending
-    buckets: list[list[list[int]]] = []  # carrier position -> its features' lists
-
-    def enter(values):
-        for value in values:
-            lists = [index.setdefault(f, []) for f in _feature_tuple(features, value)]
-            for positions in lists:
-                positions.append(len(buckets))
-            buckets.append(lists)
-
-    enter(items.values())
+    if isinstance(host, FiniteGroupoid):
+        compositions = _table_compositions(host, items)
+    else:
+        compositions = _rule_compositions(host, items)
     rounds = 0
     start = 0  # the first carrier position found in the previous round
     while True:
@@ -316,7 +323,84 @@ def _close_under_composition(host, items, budget):
             return BUDGET_EXHAUSTED, items, rounds, table
         rounds += 1
         fresh: dict[ElementId, object] = {}
+        for xid, yid, zid, z in compositions(start):
+            if zid not in items and zid not in fresh:
+                if len(items) + len(fresh) >= budget.max_elements:
+                    items.update(fresh)
+                    return BUDGET_EXHAUSTED, items, rounds, table
+                fresh[zid] = z
+            table[(xid, yid)] = zid
+        if not fresh:
+            return CLOSED, items, rounds, table
+        start = len(items)
+        items.update(fresh)
+
+
+def _table_compositions(g: FiniteGroupoid, items):
+    """A closure round on an explicit host: ``compositions(start)`` yields
+    ``(xid, yid, z, z)`` for each defined pair of ``items`` with an operand
+    at carrier position ``start`` or later, ascending by the pair's
+    positions.
+
+    Those pairs are the rows of the new elements, and their columns
+    restricted to older elements; one pass over ``g.table`` lists every
+    row and column.  Each value is read through ``g.table.get``, so a table
+    that counts its lookups counts every composition.
+    """
+    rows: dict[ElementId, list[ElementId]] = {}
+    columns: dict[ElementId, list[ElementId]] = {}
+    for x, y in g.table:
+        rows.setdefault(x, []).append(y)
+        columns.setdefault(y, []).append(x)
+    position: dict[ElementId, int] = {}  # carrier id -> closure position
+
+    def compositions(start):
+        ids = list(items)
+        n = len(ids)
+        for i in range(len(position), n):
+            position[ids[i]] = i
+        pairs = []  # i * n + j for the pair at closure positions (i, j)
+        for i in range(start, n):
+            e = ids[i]
+            for y in rows.get(e, ()):
+                j = position.get(y)
+                if j is not None:
+                    pairs.append(i * n + j)
+            for x in columns.get(e, ()):
+                h = position.get(x)
+                if h is not None and h < start:
+                    pairs.append(h * n + i)
+        pairs.sort()
+        get = g.table.get
+        for ij in pairs:
+            i, j = divmod(ij, n)
+            xid, yid = ids[i], ids[j]
+            z = get((xid, yid))
+            yield xid, yid, z, z
+
+    return compositions
+
+
+def _rule_compositions(host, items):
+    """A closure round on match/merge rules: ``compositions(start)`` yields
+    ``(xid, yid, zid, z)`` for each matching pair of ``items`` with an
+    operand at carrier position ``start`` or later, in carrier order.
+
+    Only pairs that share a feature can match, so each ``x`` is offered the
+    carrier positions listed under its features, ascending; without
+    ``features`` every pair is a candidate.
+    """
+    match, merge, key, features = host.match, host.merge, host.key, host.features
+    index: dict[object, list[int]] = {}  # feature -> carrier positions, ascending
+    buckets: list[list[list[int]]] = []  # carrier position -> its features' lists
+
+    def compositions(start):
         snapshot = list(items.items())
+        for _, value in snapshot[len(buckets):]:
+            lists = [index.setdefault(f, []) for f in _feature_tuple(features, value)]
+            for positions in lists:
+                positions.append(len(buckets))
+            buckets.append(lists)
         for i, (xid, x) in enumerate(snapshot):
             lo = 0 if i >= start else start  # an old x pairs with recent y only
             lists = buckets[i]
@@ -329,21 +413,11 @@ def _close_under_composition(host, items, budget):
                 )
             for j in candidates:
                 yid, y = snapshot[j]
-                if not match(x, y):
-                    continue
-                z = merge(x, y)
-                zid = key(z)
-                if zid not in items and zid not in fresh:
-                    if len(items) + len(fresh) >= budget.max_elements:
-                        items.update(fresh)
-                        return BUDGET_EXHAUSTED, items, rounds, table
-                    fresh[zid] = z
-                table[(xid, yid)] = zid
-        if not fresh:
-            return CLOSED, items, rounds, table
-        start = len(items)
-        items.update(fresh)
-        enter(fresh.values())
+                if match(x, y):
+                    z = merge(x, y)
+                    yield xid, yid, key(z), z
+
+    return compositions
 
 
 def generated_subgroupoid(

@@ -1,14 +1,14 @@
 """Exhaustive axiom checkers for explicit partial groupoids.
 
-Each family of laws is decided by one scan of the whole carrier (elements,
-pairs, triples, or bounded words) in carrier order, which reports the first
-violation of each law as a replayable witness, so two runs on the same input
-always return the same verdict.  Where only defined compositions can fail
-a law, a scan reads the defined entries of a row, from the one row map each
-table keeps (each row built once, on first request): the representativity
-scan through ``defined_pairs``, the triple scan once SA has a witness, and
-NR, whose defined words are built from shorter defined words one first
-letter at a time.
+Each family of laws is decided by one scan (of elements, pairs, triples, or
+bounded words), which reports the first violation of each law in carrier
+order as a replayable witness, so two runs on the same input always return
+the same verdict.  Where only defined compositions can fail a law, a scan
+reads only those: the pair scan is one pass over the defined entries; the
+representativity scan walks rows and columns, and the triple scan (once SA
+has a witness) and NR walk rows, from the row and column maps each table
+keeps (each row or column built once, on first request).  NR builds its
+defined words from shorter defined words one first letter at a time.
 
 Idempotence and strong associativity together imply word idempotence (NR)
 at every bound.  Under SA both groupings of any three factors are defined
@@ -85,9 +85,8 @@ class PropertyReport:
         return self.verdicts[Property.CATENARY_ASSOCIATIVE].holds
 
 
-# Each scan decides a whole family of laws in one pass over the carrier and
-# returns the first witness of each law in carrier order (None where the law
-# holds), stopping once every law of the family has one.
+# Each scan decides a whole family of laws in one pass and returns the first
+# witness of each law in carrier order (None where the law holds).
 
 
 def _scan_idempotence(g: FiniteGroupoid):
@@ -100,41 +99,46 @@ def _scan_pairs(g: FiniteGroupoid):
     defined, they agree.  SC: both at once.
 
     Each law fails at (x, y) exactly when it fails at (y, x), never at
-    (x, x), so the first witness in carrier order has x before y and the
-    scan visits only those pairs.
+    (x, x), and only where one of the two orders is defined; so one pass
+    over the defined entries, each against its mirror, finds every failing
+    pair, and the first witness in carrier order is the least one with the
+    earlier element first.
     """
-    table, elements = g.table, g.elements
-    s = c = sc = None
-    for i, x in enumerate(elements):
-        for y in elements[i + 1 :]:
-            xy = table.get((x, y))
-            yx = table.get((y, x))
-            if xy != yx:
-                if xy is None or yx is None:
-                    s = s or (x, y)
-                else:
-                    c = c or (x, y)
-                sc = sc or (x, y)
-                if s and c:
-                    return s, c, sc
-    return s, c, sc
+    table, position = g.table, g._position
+    s = c = None  # the least failing pair so far, as carrier positions
+    for (x, y), xy in table.items():
+        yx = table.get((y, x))
+        if xy != yx:
+            i, j = position[x], position[y]
+            w = (i, j) if i < j else (j, i)
+            if yx is None:
+                if s is None or w < s:
+                    s = w
+            elif c is None or w < c:
+                c = w
+    sc = min(filter(None, (s, c)), default=None)
+    elements = g.elements
+    return tuple(None if w is None else (elements[w[0]], elements[w[1]]) for w in (s, c, sc))
 
 
 def _scan_representativity(g: FiniteGroupoid):
     """Rl: (p, p1) and (p1, p2) defined => (p, p1 o p2) defined.
     Rr, its dual: (p1, p2) and (p2, p) defined => (p1 o p2, p) defined.
-    R: both; its witness is Rl's, else Rr's."""
-    table = g.table
+    R: both; its witness is Rl's, else Rr's.
+
+    Rl can fail at (p1, p2, p) only where p o p1 is defined, and Rr only
+    where p2 o p is: for each defined (p1, p2) in carrier order, Rl walks
+    p1's column and Rr p2's row, from the maps the table keeps."""
+    table, rows, columns = g.table, g._rows, g._columns
     left = right = None
-    for p1, p2 in g.defined_pairs():
-        c = table[(p1, p2)]
-        for p in g.elements:
-            if left is None and (p, p1) in table and (p, c) not in table:
-                left = (p1, p2, p)
-            if right is None and (p2, p) in table and (c, p) not in table:
-                right = (p1, p2, p)
-        if left and right:
-            break
+    for p1 in g.elements:
+        for p2, c in rows[p1]:
+            if left is None:
+                left = next(((p1, p2, p) for p, _ in columns[p1] if (p, c) not in table), None)
+            if right is None:
+                right = next(((p1, p2, p) for p, _ in rows[p2] if (c, p) not in table), None)
+            if left and right:
+                return left, right, left
     return left, right, left or right
 
 
@@ -274,7 +278,8 @@ def check_property(
     """Exhaustively audit one axiom; deterministic first witness on failure.
 
     The laws are decided by family, one scan each: I over elements; S, C
-    and SC over pairs; Rl, Rr and R over defined pairs and a third element;
+    and SC over defined entries; Rl, Rr and R over defined pairs and the
+    third elements of a column or a row;
     A, CA and SA over triples; NR from I and SA, else over words up to
     ``nr_word_bound``, per bound.  The first request for any law of a
     family runs its scan and stores every verdict of the family on ``g``;

@@ -409,10 +409,12 @@ def test_record_instance_document_resolves_records_outside_the_input(capsys, tmp
 
 
 def test_empty_inline_instance_exits_two(capsys):
-    for command in ("er", "closure"):
-        code, out, err = invoke(capsys, command, "fixtures/p1", "--instance", ",")
-        assert (code, out) == (2, "")
-        assert err == "error: ,: empty instance\n"
+    for source in ("fixtures/p1", "fixtures/records"):
+        for command in ("er", "closure"):
+            for instance in (",", ",,"):
+                code, out, err = invoke(capsys, command, source, "--instance", instance)
+                assert (code, out) == (2, "")
+                assert err == f"error: {instance}: empty instance\n"
 
 
 def test_instance_document_ids_outside_the_carrier_exit_two(capsys, tmp_path):

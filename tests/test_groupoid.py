@@ -12,6 +12,7 @@ from matchmerge import (
     NotGeneratingSetError,
     NotHomomorphismError,
     Property,
+    Verdict,
     builtin,
     check_homomorphism,
     check_property,
@@ -255,6 +256,11 @@ def test_irreducible_rejects_non_generating_set(p1):
         irreducible_generating_set(p1, ["a", "b"])
 
 
+def test_irreducible_rejects_an_empty_generator_set(p1):
+    with pytest.raises(ValueError, match="generator set must be non-empty"):
+        irreducible_generating_set(p1, [])
+
+
 @given(groupoids(idempotent=True), st.data())
 def test_irreducible_result_generates_and_is_minimal(g, data):
     full = list(g.elements)
@@ -344,6 +350,17 @@ def test_failing_map_carries_first_witness(p1):
     assert verdict.witness == ("a", "b")
     with pytest.raises(NotHomomorphismError):
         image(h)
+
+
+def test_map_whose_images_compose_to_another_value_carries_first_witness():
+    # the identity into a copy of maxnat where 1 2 is 1, not 2
+    source = builtin("maxnat", 3)
+    target = FiniteGroupoid(source.elements, {**source.table, ("1", "2"): "1"})
+    identity = {e: e for e in source.elements}
+    verdict = check_homomorphism(Homomorphism(source, target, identity))
+    assert verdict == Verdict(False, ("1", "2"), "images compose to a different value")
+    assert not verdict
+    assert check_homomorphism(Homomorphism(source, source, identity))
 
 
 def test_constant_map_into_idempotent_is_a_homomorphism(q2, unit):

@@ -76,6 +76,12 @@ def test_relation_rejects_foreign_pairs(p1):
         OrderRelation(p1.elements, frozenset({("a", "zz")}))
 
 
+def test_relation_contains_exactly_its_pairs(p1):
+    relation = OrderRelation(p1.elements, frozenset({("a", "b")}))
+    assert ("a", "b") in relation
+    assert ("b", "a") not in relation
+
+
 # -- law audits --------------------------------------------------------------------
 
 

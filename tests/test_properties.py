@@ -107,6 +107,12 @@ def test_singleton_satisfies_everything(unit):
     assert all(v.holds for v in verdict_map(unit).values())
 
 
+def test_a_verdict_is_true_exactly_when_its_law_holds(p1):
+    verdicts = [check_property(p1, p) for p in Property]
+    assert [bool(v) for v in verdicts] == [v.holds for v in verdicts]
+    assert {bool(v) for v in verdicts} == {True, False}
+
+
 def test_record_closure_is_icar():
     g = materialized_records(chaining_records())
     assert len(g) == 6
@@ -226,11 +232,18 @@ def _scrambled(g: FiniteGroupoid, rng: random.Random) -> FiniteGroupoid:
     return FiniteGroupoid(g.elements, dict(entries))
 
 
+_ENTRY_LAWS = (
+    P.LEFT_REPRESENTATIVE, P.RIGHT_REPRESENTATIVE, P.REPRESENTATIVE,
+    P.SYMMETRIC, P.COMMUTATIVE, P.STRONGLY_COMMUTATIVE,
+)
+
+
 def _assert_triple_laws_match_oracle(g: FiniteGroupoid) -> dict:
-    """A, CA and SA, and Rl, Rr and R, whose scan reads the table's rows
-    through ``defined_pairs``, against the oracle; returns the first three."""
+    """A, CA and SA, and the laws whose scans read the defined entries (Rl,
+    Rr and R through the table's rows and columns, S, C and SC in the
+    table's insertion order), against the oracle; returns the first three."""
     expected = first_violations(g)
-    for p in _TRIPLE_LAWS + (P.LEFT_REPRESENTATIVE, P.RIGHT_REPRESENTATIVE, P.REPRESENTATIVE):
+    for p in _TRIPLE_LAWS + _ENTRY_LAWS:
         witness = expected[str(p)]
         want = PropertyVerdict(p, witness is None, witness, _universe(g, p))
         assert check_property(g, p) == want, (p, g.elements, g.table)
@@ -241,7 +254,8 @@ def test_triple_scan_matches_the_oracle_on_large_sparse_tables():
     """Successor chains of 20 to 48 elements with and without loops, in
     their own and in a shuffled carrier order, and seeded random tables of
     7 to 30 elements at densities up to 0.15, each with its entries
-    inserted in random order."""
+    inserted in random order; every law checked holds on some and fails on
+    others."""
     rng = random.Random(15)
     tables = []
     for n in (20, 33, 48):
@@ -252,11 +266,13 @@ def test_triple_scan_matches_the_oracle_on_large_sparse_tables():
     for i in range(60):
         size = rng.randint(7, 30)
         tables.append(random_groupoid(rng, size, rng.uniform(0.01, 0.15), reflexive=i % 2 == 0))
+    laws = _TRIPLE_LAWS + _ENTRY_LAWS
     seen = set()
     for g in tables:
-        found = _assert_triple_laws_match_oracle(_scrambled(g, rng))
-        seen.update((law, w is None) for law, w in found.items())
-    assert seen == {(law, holds) for law in ("A", "CA", "SA") for holds in (True, False)}
+        scrambled = _scrambled(g, rng)
+        _assert_triple_laws_match_oracle(scrambled)
+        seen.update((p, check_property(scrambled, p).holds) for p in laws)
+    assert seen == {(p, holds) for p in laws for holds in (True, False)}
 
 
 def test_triple_scan_matches_the_oracle_on_record_closures():

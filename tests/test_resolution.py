@@ -99,22 +99,31 @@ def test_record_closure_matches_each_ordered_pair_once(record_bb):
     )
 
 
-def test_exhausted_record_closure_keeps_the_compositions_it_evaluated(record_bb, monkeypatch):
+class _LoggingTable(dict):
+    """A composition table that logs each ``get`` as (x, y, value or None)."""
+
+    def __init__(self, table, log):
+        super().__init__(table)
+        self.log = log
+
+    def get(self, key, default=None):
+        value = dict.get(self, key, default)
+        self.log.append((*key, value))
+        return value
+
+
+def test_exhausted_record_closure_keeps_the_compositions_it_evaluated(record_bb):
     # five records sharing a key value close to 31 unions; ten fit the budget
     records = [Record.of(name={"ann"}, **{f"src{i}": {f"r{i}"}}) for i in range(5)]
     counted, asked = _asking(record_bb)
     runs = [(counted, records, asked)]
-    # explicit hosts keep the same table, logged through the class's match
+    # explicit hosts keep the same table, logged through the reads of the
+    # host's table, which closure makes once per composition
     table_asked = []
-    table_match = FiniteGroupoid.match
-
-    def match(g, x, y):
-        hit = table_match(g, x, y)
-        table_asked.append((x, y, g.merge(x, y) if hit else None))
-        return hit
-
-    monkeypatch.setattr(FiniteGroupoid, "match", match)
-    runs += [(builtin(name, 50), ["a1", "a2"], table_asked) for name in ("chain", "uchain")]
+    for name in ("chain", "uchain"):
+        g = builtin(name, 50)
+        object.__setattr__(g, "table", _LoggingTable(g.table, table_asked))
+        runs.append((g, ["a1", "a2"], table_asked))
 
     for host, seeds, log in runs:
         log.clear()
@@ -166,6 +175,33 @@ def test_tables_and_blackbox_rules_close_alike():
     # both tight budgets run out on some hosts and not on others
     closed, exhausted = "closed", "budget_exhausted"
     assert outcomes == {(0, closed), (1, closed), (1, exhausted), (2, closed), (2, exhausted)}
+
+
+def test_tables_close_over_their_defined_entries_as_rules_do():
+    """An explicit host composes only its defined entries, while the same
+    table behind rules without features is offered every carrier pair; both
+    close alike, down to the carrier order and the table's insertion order.
+    Chains get a shuffled carrier and their entries in random order."""
+    rng = random.Random(21)
+    runs = []
+    for g in _random_tables(random.Random(8)):
+        runs.append((g, rng.sample(g.elements, rng.randint(1, len(g)))))
+    for n in (20, 33, 48):
+        for name in ("chain", "uchain"):
+            chain = builtin(name, n)
+            entries = list(chain.table.items())
+            rng.shuffle(entries)
+            g = FiniteGroupoid(tuple(rng.sample(chain.elements, n)), dict(entries))
+            runs += [(g, ["a1", "a2"]), (g, rng.sample(g.elements, 3))]
+    statuses = set()
+    for g, members in runs:
+        for budget in (Budget(), Budget(max_elements=len(members) + 2), Budget(max_rounds=1)):
+            direct = merge_closure(g, members, budget)
+            ruled = merge_closure(_as_blackbox(g), members, budget)
+            assert direct == ruled  # the carrier tuple included
+            assert list(direct.groupoid.table.items()) == list(ruled.groupoid.table.items())
+            statuses.add(direct.status)
+    assert statuses == {"closed", "budget_exhausted"}
 
 
 def _table_features(g):
@@ -277,6 +313,12 @@ def test_tables_and_blackbox_rules_resolve_alike(max10, twoblock, unit):
         members = rng.sample(g.elements, rng.randint(1, len(g)))
         direct = r_swoosh(g, members)
         assert direct == r_swoosh(_as_blackbox(g, declares_icar=True), members)
+
+
+def test_r_swoosh_rejects_an_empty_instance(max10, record_bb):
+    for host in (max10, record_bb):
+        with pytest.raises(ValueError, match="instance must be non-empty"):
+            r_swoosh(host, [])
 
 
 def test_foreign_ids_on_a_table_raise(max10, p1):
