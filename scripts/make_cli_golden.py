@@ -5,8 +5,8 @@ on a fixed set of argument lists.
 Each run is one in-process ``matchmerge.cli.run(argv)`` in a scratch
 directory that holds a copy of fixtures/ and the documents in ``FILES``, with
 ``COLUMNS`` fixed so argparse wraps its help the same way everywhere.  A
-deliberate output change shows up as a diff of the corpus.  The argparse
-messages are those of the Python that writes the corpus (3.11).
+deliberate output change shows up as a diff of the corpus.  The usage and
+help text in it is the argparse of ``PYTHON``, which writes the corpus.
 
   PYTHONPATH=src python3 scripts/make_cli_golden.py
 """
@@ -18,15 +18,18 @@ import json
 import os
 import random
 import shutil
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 from matchmerge import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "cli_golden.json"
 COLUMNS = "100"
+PYTHON = (3, 11)
 
 FIXTURES = [
     "chain12", "clicks", "leftzero2", "max10", "p1", "q2", "records",
@@ -198,28 +201,26 @@ def replay(runs, workdir: Path) -> list[dict]:
         path = workdir / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(content)
-    here, columns = os.getcwd(), os.environ.get("COLUMNS")
+    here = os.getcwd()
     os.chdir(workdir)
-    os.environ["COLUMNS"] = COLUMNS
     try:
         records = []
-        for argv in runs:
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = cli.run(list(argv))
-            records.append(
-                {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
-            )
+        with mock.patch.dict(os.environ, COLUMNS=COLUMNS):
+            for argv in runs:
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.run(list(argv))
+                records.append(
+                    {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+                )
         return records
     finally:
         os.chdir(here)
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
 
 
 def main() -> None:
+    if sys.version_info[:2] != PYTHON:
+        sys.exit(f"write the corpus with Python {'.'.join(map(str, PYTHON))}")
     with tempfile.TemporaryDirectory() as workdir:
         records = replay(cases(), Path(workdir))
     CORPUS.write_text(

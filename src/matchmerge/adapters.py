@@ -11,8 +11,8 @@ merged records on those sets.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _string
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -26,11 +26,6 @@ from .groupoid import (
     _closed_groupoid,
     generated_subgroupoid,
 )
-
-
-# ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` without building
-# an encoder per call
-_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,9 +66,14 @@ class Record:
 
     def _settle(self, attributes: dict[str, frozenset[str]], facts: frozenset) -> None:
         object.__setattr__(self, "attributes", MappingProxyType(attributes))
-        object.__setattr__(
-            self, "canonical_id", _canonical_json({k: sorted(v) for k, v in attributes.items()})
+        # json.dumps({k: sorted(v)}, sort_keys=True, separators=(",", ":"))
+        canonical = ",".join(
+            [
+                f'{_string(k)}:[{",".join(map(_string, sorted(attributes[k])))}]'
+                for k in sorted(attributes)
+            ]
         )
+        object.__setattr__(self, "canonical_id", "{" + canonical + "}")
         object.__setattr__(self, "_facts", facts)
 
     @classmethod
@@ -345,9 +345,15 @@ BUILTINS: dict[str, tuple[str, int | None, Callable[..., FiniteGroupoid]]] = {
     "unit": ("a single idempotent", None, _fixture_unit),
 }
 
+# The largest element count a sized fixture takes.  ``maxnat`` builds n²
+# entries, so an unbounded size from the command line would allocate
+# without bound; the largest size in use is 60.
+MAX_FIXTURE_SIZE = 100
+
 
 def builtin(name: str, size: int | None = None) -> FiniteGroupoid:
-    """Construct a built-in fixture; sized families take an element count."""
+    """Construct a built-in fixture; sized families take an element count
+    of at most ``MAX_FIXTURE_SIZE``."""
     key = name.lower()
     if key not in BUILTINS:
         raise UnknownFixtureError(
@@ -364,4 +370,6 @@ def builtin(name: str, size: int | None = None) -> FiniteGroupoid:
         raise UnknownFixtureError(f"fixture {name!r} needs size >= 3")
     if size < 1:
         raise UnknownFixtureError("size must be positive")
+    if size > MAX_FIXTURE_SIZE:
+        raise UnknownFixtureError(f"size must be at most {MAX_FIXTURE_SIZE}")
     return factory(size)

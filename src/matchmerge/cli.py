@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -59,17 +60,28 @@ class CliInput:
         return self.host
 
 
-def _resolve_input(spec: str) -> CliInput:
-    from . import documents
+def _find_file(spec: str) -> Path | None:
+    """The file ``spec`` names, with or without the .json suffix."""
+    for name in (spec, spec + ".json"):
+        # Path drops a trailing "/" or "/." that the file system would read
+        # as "a directory"; test those spellings the way Path reads them
+        if os.path.isfile(name) or (name.endswith(("/", "/.")) and Path(name).is_file()):
+            return Path(name)
+    return None
 
-    for candidate in (Path(spec), Path(spec + ".json")):
-        if candidate.is_file():
-            doc = documents.load_document(candidate)
-            if isinstance(doc, documents.GroupoidDocument):
-                g = doc.groupoid
-                return CliInput(str(candidate), g, g.elements, doc.order_pairs)
-            host = adapters.record_groupoid(doc.key_attributes)
-            return CliInput(str(candidate), host, doc.records)
+
+def _resolve_input(spec: str) -> CliInput:
+    path = _find_file(spec)
+    if path is not None:
+        from . import documents
+
+        doc = documents.load_document(path)
+        label = str(path)
+        if isinstance(doc, documents.GroupoidDocument):
+            g = doc.groupoid
+            return CliInput(label, g, g.elements, doc.order_pairs)
+        host = adapters.record_groupoid(doc.key_attributes)
+        return CliInput(label, host, doc.records)
     name, _, size = spec.partition(":")
     try:
         fixture = adapters.builtin(name, int(size) if size else None)
@@ -85,23 +97,22 @@ def _resolve_input(spec: str) -> CliInput:
 def _parse_instance(arg: str | None, loaded: CliInput):
     """Instance members: a comma-separated id list, an instance document
     path, or (by default) everything in the input."""
-    from . import documents
-
     if arg is None:
         return list(loaded.members)
-    for candidate in (Path(arg), Path(arg + ".json")):
-        if candidate.is_file():
-            doc = documents.load_instance(candidate)
-            if doc.records is None:
-                ids = list(doc.element_ids)
-            elif not loaded.records:
-                raise LoadError(arg, "record instance given for a groupoid input")
-            else:
-                for i, record in enumerate(doc.records):
-                    if not loaded.host.features(record):
-                        raise LoadError(arg, f"instance[{i}] has no key attribute")
-                return list(doc.records)
-            break
+    path = _find_file(arg)
+    if path is not None:
+        from . import documents
+
+        doc = documents.load_instance(path)
+        if doc.records is None:
+            ids = list(doc.element_ids)
+        elif not loaded.records:
+            raise LoadError(arg, "record instance given for a groupoid input")
+        else:
+            for i, record in enumerate(doc.records):
+                if not loaded.host.features(record):
+                    raise LoadError(arg, f"instance[{i}] has no key attribute")
+            return list(doc.records)
     else:
         # a record id is compact JSON: split records only between "}" and
         # "{"; commas before the first id or after the last are no id
@@ -569,7 +580,8 @@ def _at_least_one(quantity: str):
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="matchmerge",
         description="Audit match/merge systems modeled as partial groupoids.",
@@ -619,15 +631,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "machine"), default="text")
     p.set_defaults(func=_cmd_fixtures)
 
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _SUBPARSERS = _build_parser()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, with the same namespace and messages.
+
+    When ``argv`` starts with a subcommand, the top-level parser would only
+    hand the rest to that subcommand's parser, so this calls it directly.
+    Anything else (no arguments, ``-h``, an unknown command) goes to the
+    top-level parser, which alone prints the top-level usage.
+    """
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def run(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

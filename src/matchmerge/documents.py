@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .adapters import Digraph, Record, _record
@@ -34,9 +35,11 @@ class InstanceDocument:
 
 
 def _read_json(path) -> object:
-    path = Path(path)
+    if not isinstance(path, Path):
+        path = Path(path)  # errors name the path as Path spells it
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise LoadError(path, str(exc)) from exc
     try:
@@ -150,19 +153,17 @@ def _parse_record(obj, path, array: str, i: int) -> Record:
     """Entry ``i`` of the document's ``array`` as a record."""
     if not isinstance(obj, dict):
         raise LoadError(path, f"{array}[{i}] must be an attribute object")
-    for name, values in obj.items():
-        if not (
-            isinstance(values, list) and values and all(isinstance(v, str) for v in values)
-        ):
-            raise LoadError(path, f"{array}[{i}].{name} must be a non-empty array of strings")
     if not obj:
         raise LoadError(path, f"{array}[{i}]: record must have at least one attribute")
+    attributes, facts = {}, set()
+    for name, values in obj.items():
+        if not (isinstance(values, list) and values and all(map(isinstance, values, repeat(str)))):
+            raise LoadError(path, f"{array}[{i}].{name} must be a non-empty array of strings")
+        attributes[name] = frozenset(values)
+        facts.update(zip(repeat(name), values))
     # a JSON object repeats no name and every value is a string, so nothing
     # is left for Record's own checks
-    return _record(
-        {n: frozenset(vs) for n, vs in obj.items()},
-        frozenset((n, v) for n, vs in obj.items() for v in vs),
-    )
+    return _record(attributes, frozenset(facts))
 
 
 def load_records(path) -> RecordsDocument:

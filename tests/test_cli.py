@@ -440,8 +440,11 @@ def test_missing_input_exits_two(capsys):
     for spec, message in (
         ("no/such/file", "no such file or fixture"),
         ("nosuch", "no such file or fixture"),
+        ("a" * 5000, "no such file or fixture"),  # too long a name for the file system
         ("chain:2", "fixture 'chain' needs size >= 3"),
         ("maxnat:0", "size must be positive"),
+        ("maxnat:99999999999999999999999", "size must be at most 100"),
+        ("chain:101", "size must be at most 100"),
         ("p1:3", "fixture 'p1' does not take a size"),
     ):
         for command in ("check", "closure"):
@@ -706,6 +709,69 @@ def test_run_builds_no_parser(capsys, monkeypatch):
     assert run(["fixtures"]) == 0
     assert run(["check", "unit", "--format", "machine"]) == 0
     assert built == []
+
+
+# each subcommand's options, with a value to give them (None: a flag)
+_OPTIONS = {
+    "check": {"--nr-bound": "2"},
+    "closure": {"--instance": "a1,a2"},
+    "er": {"--instance": "a1,a2", "--method": "full"},
+    "graph": {"--dot": "g.dot", "--components": None, "--clique-cover": None},
+    "quotient": {"--nr-bound": "2"},
+    "order": {"--variant": "left"},
+}
+_COMMON = {"--format": "machine", "--budget-elements": "5", "--budget-rounds": "2"}
+
+
+def _argv_corpus():
+    corpus = [
+        [], ["-h"], ["--help"], ["-h", "check"], ["--format", "machine", "check", "p1"],
+        ["frobnicate"], ["frobnicate", "p1"], ["--", "check", "p1"], ["fixtures"],
+        ["fixtures", "--format", "machine"], ["fixtures", "--format=text"], ["fixtures", "-h"],
+        ["fixtures", "p1"], ["fixtures", "--form", "machine"],
+    ]
+    for command, options in _OPTIONS.items():
+        corpus += [
+            [command], [command, "p1"], [command, "-h"], [command, "p1", "-h"],
+            [command, "p1", "--help"], [command, "p1", "--he"], [command, "p1", "extra"],
+            [command, "p1", "--bogus"], [command, "p1", "--bogus", "x", "y"],
+            [command, "--", "p1"], [command, "p1", "--"], [command, "--", "--format"],
+            [command, "p1", "--format", "json"], [command, "p1", "--budget", "3"],
+            [command, "p1", "--budget-elements", "0"], [command, "p1", "--budget-rounds=-4"],
+            [command, "p1", "--budget-elements", "x"], [command, "p1", "--format"],
+        ]
+        for option, value in {**_COMMON, **options}.items():
+            given = [option] if value is None else [option, value]
+            joined = option if value is None else f"{option}={value}"
+            corpus += [
+                [command, "p1", *given], [command, *given, "p1"], [command, "p1", joined],
+                [command, "p1", option[:6], *given[1:]], [command, "p1", *given, *given],
+            ]
+    corpus += [
+        ["er", "p1", "--method", "nope"], ["er", "p1", "--method"], ["order", "p1", "--variant=up"],
+        ["check", "p1", "--nr-bound", "0"], ["quotient", "p1", "--nr", "x"],
+        ["graph", "p1", "--comp", "--cl"], ["graph", "p1", "--c"], ["er", "p1", "--m", "auto"],
+        ["closure", "p1", "--instance", "-x"], ["closure", "p1", "--instance=-x"],
+        ["check", "p1", "q2"], ["check", "-5"], ["check", "p1", "-f"],
+    ]
+    return corpus
+
+
+def test_parse_matches_the_top_level_parser(capsys, monkeypatch):
+    # help and usage lines wrap at the terminal width
+    monkeypatch.setenv("COLUMNS", "100")
+    outcomes = set()
+    for argv in _argv_corpus():
+        results = []
+        for parse in (cli._parse, cli._PARSER.parse_args):
+            try:
+                result = vars(parse(list(argv)))
+            except SystemExit as exc:
+                result = exc.code
+            results.append((result, capsys.readouterr()))
+        assert results[0] == results[1], argv
+        outcomes.add(type(results[0][0]).__name__ if results[0][1].err == "" else "error")
+    assert outcomes == {"dict", "int", "error"}
 
 
 def test_emitter_matches_json_dumps_on_every_machine_payload(capsys, monkeypatch):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,4 +28,6 @@ def test_cli_output_matches_the_golden_corpus(tmp_path):
     runs = script.cases()
     assert [record["argv"] for record in corpus] == runs
     for want, got in zip(corpus, script.replay(runs, tmp_path)):
+        if sys.version_info[:2] != script.PYTHON and "usage: " in want["stdout"] + want["stderr"]:
+            continue  # argparse words its usage and help differently in other versions
         assert got == want, want["argv"]
