@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import repeat
-from pathlib import Path
 
 from .adapters import Digraph, Record, _record
 from .errors import LoadError
@@ -35,8 +34,6 @@ class InstanceDocument:
 
 
 def _read_json(path) -> object:
-    if not isinstance(path, Path):
-        path = Path(path)  # errors name the path as Path spells it
     try:
         with open(path, encoding="utf-8") as file:
             text = file.read()

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -46,26 +47,27 @@ class Verdict:
 
 class _Rows(dict):
     """x -> [(y, x o y)] over the defined entries of x's row, in carrier
-    order; each row is built from the table on its first request."""
+    order: the row's entries in the host's filing, sorted on the row's
+    first request, so a row costs its entries, not the carrier."""
 
-    def __init__(self, elements, table):
+    side = 0  # the side of ``FiniteGroupoid._filing`` this map reads
+
+    def __init__(self, host):
         super().__init__()
-        self.elements, self.table = elements, table
+        self.host = host
 
-    def __missing__(self, x):
-        table = self.table
-        row = self[x] = [(y, xy) for y in self.elements if (xy := table.get((x, y))) is not None]
-        return row
+    def __missing__(self, e):
+        position = self.host._position
+        filed = self.host._filing[self.side].get(e, ())
+        line = self[e] = sorted(filed, key=lambda entry: position[entry[0]])
+        return line
 
 
 class _Columns(_Rows):
     """y -> [(x, x o y)] over the defined entries of y's column, in carrier
-    order; each column is built from the table on its first request."""
+    order, built like the rows from the other side of the filing."""
 
-    def __missing__(self, y):
-        table = self.table
-        column = self[y] = [(x, xy) for x in self.elements if (xy := table.get((x, y))) is not None]
-        return column
+    side = 1
 
 
 @dataclass(frozen=True)
@@ -90,14 +92,25 @@ class FiniteGroupoid:
     _derived: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    # The defined entries of each row, ``x -> [(y, x o y)]`` in carrier
-    # order, built on first request and kept here for the table's life:
-    # ``defined_pairs``, the Rl/Rr/R scan, the A/CA/SA scan and NR all read
-    # this one map.  ``_columns`` is its transpose, ``y -> [(x, x o y)]``,
-    # built the same way; the Rl/Rr/R scan reads it.  Valid only because
+    # The defined entries filed by operand, ``x -> [(y, x o y)]`` by row and
+    # ``y -> [(x, x o y)]`` by column, in table order: one pass over the
+    # table, made on the first request of a row, a column or a closure over
+    # the table.  The row map and the column map sort each line out of it
+    # on the line's first request: ``defined_pairs``, the Rl/Rr/R scan, the
+    # A/CA/SA scan and NR read the rows, and the Rl/Rr/R scan the columns.
+    # All three are kept for the table's life, which is valid only because
     # ``table`` never changes.
-    _rows: _Rows = field(init=False, repr=False, compare=False, default=None)
-    _columns: _Columns = field(init=False, repr=False, compare=False, default=None)
+    _rows = cached_property(_Rows)
+    _columns = cached_property(_Columns)
+
+    @cached_property
+    def _filing(self) -> tuple[dict, dict]:
+        rows: dict[ElementId, list[tuple[ElementId, ElementId]]] = {}
+        columns: dict[ElementId, list[tuple[ElementId, ElementId]]] = {}
+        for (x, y), xy in self.table.items():
+            rows.setdefault(x, []).append((y, xy))
+            columns.setdefault(y, []).append((x, xy))
+        return rows, columns
 
     def __post_init__(self):
         elements = tuple(self.elements)
@@ -121,8 +134,6 @@ class FiniteGroupoid:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_position", position)
-        object.__setattr__(self, "_rows", _Rows(elements, table))
-        object.__setattr__(self, "_columns", _Columns(elements, table))
 
     # -- carrier -----------------------------------------------------------
     def __contains__(self, element: ElementId) -> bool:
@@ -343,15 +354,12 @@ def _table_compositions(g: FiniteGroupoid, items):
     positions.
 
     Those pairs are the rows of the new elements, and their columns
-    restricted to older elements; one pass over ``g.table`` lists every
-    row and column.  Each value is read through ``g.table.get``, so a table
-    that counts its lookups counts every composition.
+    restricted to older elements, read off the table's filing, which the
+    table's row and column maps share.  Each value is read through
+    ``g.table.get``, so a table that counts its lookups counts every
+    composition.
     """
-    rows: dict[ElementId, list[ElementId]] = {}
-    columns: dict[ElementId, list[ElementId]] = {}
-    for x, y in g.table:
-        rows.setdefault(x, []).append(y)
-        columns.setdefault(y, []).append(x)
+    rows, columns = g._filing
     position: dict[ElementId, int] = {}  # carrier id -> closure position
 
     def compositions(start):
@@ -362,11 +370,11 @@ def _table_compositions(g: FiniteGroupoid, items):
         pairs = []  # i * n + j for the pair at closure positions (i, j)
         for i in range(start, n):
             e = ids[i]
-            for y in rows.get(e, ()):
+            for y, _ in rows.get(e, ()):
                 j = position.get(y)
                 if j is not None:
                     pairs.append(i * n + j)
-            for x in columns.get(e, ()):
+            for x, _ in columns.get(e, ()):
                 h = position.get(x)
                 if h is not None and h < start:
                     pairs.append(h * n + i)

@@ -7,8 +7,10 @@ the same verdict.  Where only defined compositions can fail a law, a scan
 reads only those: the pair scan is one pass over the defined entries; the
 representativity scan walks rows and columns, and the triple scan (once SA
 has a witness) and NR walk rows, from the row and column maps each table
-keeps (each row or column built once, on first request).  NR builds its
-defined words from shorter defined words one first letter at a time.
+keeps: one pass files the table's entries by operand on the first request,
+and each line is sorted out of that filing once, on its own first request,
+so it costs its entries, not the carrier.  NR builds its defined words from
+shorter defined words one first letter at a time.
 
 Idempotence and strong associativity together imply word idempotence (NR)
 at every bound.  Under SA both groupings of any three factors are defined

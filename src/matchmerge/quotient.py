@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from itertools import product as cartesian
 
 from .errors import CongruenceError, HypothesesNotSatisfiedError, InternalInvariantError
-from .groupoid import (
-    ElementId,
-    FiniteGroupoid,
-    Homomorphism,
-    Verdict,
-    check_homomorphism,
-)
+from .groupoid import ElementId, FiniteGroupoid, Homomorphism, Verdict
 from .properties import DEFAULT_WORD_BOUND, Property, check_property
 
 
@@ -114,8 +108,8 @@ def quotient(g: FiniteGroupoid, nr_word_bound: int = DEFAULT_WORD_BOUND) -> Quot
 
     ``congruence_classes`` has verified that each (class, class) cell
     composes into one class, so the table maps each defined pair to its
-    representatives' cell without checking again; the projection's
-    homomorphism check stays as an internal-invariant guard.
+    representatives' cell without checking again, and the projection is a
+    homomorphism.
 
     When the source has a symmetric domain and is catenary associative (CA)
     the quotient must come out commutative, and this is asserted.  For
@@ -137,11 +131,6 @@ def quotient(g: FiniteGroupoid, nr_word_bound: int = DEFAULT_WORD_BOUND) -> Quot
     table = {(rep[x], rep[y]): rep[v] for (x, y), v in g.table.items()}
     quotient_groupoid = FiniteGroupoid(carrier, table)
     projection = Homomorphism(g, quotient_groupoid, rep)
-    verdict = check_homomorphism(projection)
-    if not verdict.holds:  # pragma: no cover - guarded by the class check
-        raise InternalInvariantError(
-            f"projection failed the homomorphism check: {verdict.witness!r}"
-        )
     if (
         check_property(g, Property.SYMMETRIC).holds
         and check_property(g, Property.CATENARY_ASSOCIATIVE).holds

@@ -188,6 +188,24 @@ def test_malformed_json_reports_position(tmp_path):
     assert ":1:" in str(err.value)
 
 
+def test_every_load_error_names_the_document_as_the_caller_spelled_it(tmp_path, monkeypatch):
+    # read, JSON and validation errors alike: "./broken.json" is not
+    # shortened to "broken.json" while "./nokey.json" keeps its "./"
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "broken.json", "{,}")
+    write(tmp_path, "nokey.json", {"elements": ["a"]})
+    cases = (
+        ("./broken.json", "./broken.json:1:2: "),
+        ("./nokey.json", "./nokey.json: missing key 'compositions'"),
+        ("./absent.json", "./absent.json: "),
+    )
+    for spelling, start in cases:
+        with pytest.raises(LoadError) as err:
+            load_groupoid(spelling)
+        assert str(err.value).startswith(start), str(err.value)
+        assert err.value.path == spelling
+
+
 def test_order_key_round_trip(tmp_path):
     g = builtin("twoblock")
     path = write(tmp_path, "o.json", dump_groupoid(g, [("u", "u"), ("v", "v")]))

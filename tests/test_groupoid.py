@@ -21,6 +21,7 @@ from matchmerge import (
     irreducible_generating_set,
     null_extension,
     product_of_subsets,
+    property_report,
 )
 from helpers import (
     brute_force_generates,
@@ -91,6 +92,50 @@ def test_compose_foreign_element_is_a_distinct_error(p1):
 
 def test_domain_equals_table_keys(p1):
     assert p1.domain == frozenset(p1.table)
+
+
+class _CountingTable(dict):
+    """A composition table that logs each entry it hands out: ``(x, y)``
+    for an entry of an ``items()`` pass, ``("get", x, y)`` for a ``get``."""
+
+    def __init__(self, table, log):
+        super().__init__(table)
+        self.log = log
+
+    def get(self, key, default=None):
+        self.log.append(("get", *key))
+        return dict.get(self, key, default)
+
+    def items(self):
+        for key, value in dict.items(self):
+            self.log.append(key)
+            yield key, value
+
+
+def test_every_row_and_column_costs_its_entries_not_the_carrier():
+    # a successor chain of 48 elements has 46 entries among 2,304 pairs
+    g = builtin("chain", 48)
+    log = []
+    object.__setattr__(g, "table", _CountingTable(g.table, log))
+    rows = {x: g._rows[x] for x in g.elements}
+    columns = {y: g._columns[y] for y in g.elements}
+    # all the lines together read each defined entry once, and no other pair
+    assert sorted(log) == sorted(g.table)
+    # the lines are the table's, in carrier order
+    e = g.elements
+    assert rows == {x: [(y, g.table[x, y]) for y in e if (x, y) in g.table] for x in e}
+    assert columns == {y: [(x, g.table[x, y]) for x in e if (x, y) in g.table] for y in e}
+
+
+def test_a_report_and_a_closure_on_one_table_file_it_once(monkeypatch):
+    filed = []
+    original = FiniteGroupoid._filing.func
+    monkeypatch.setattr(FiniteGroupoid._filing, "func", lambda g: filed.append(g) or original(g))
+    g = builtin("uchain", 12)
+    property_report(g, 3)  # reads rows and columns
+    closure = generated_subgroupoid(g, ["a1", "a2"])
+    assert closure.closed and set(closure.carrier) == set(g.elements)
+    assert filed == [g]
 
 
 # -- subset products ------------------------------------------------------------

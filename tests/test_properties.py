@@ -319,15 +319,17 @@ def test_triple_scan_finds_catenary_associativity_after_strong_associativity():
 
 
 def _count_row_builds(monkeypatch) -> list:
-    """Patch the row builder of every table; returns the list of the
-    elements whose row is built, in build order."""
+    """Patch the line builder of every table; returns the list of the
+    elements whose row is built, in build order.  Columns share the
+    builder and are not listed."""
     import matchmerge.groupoid as groupoid
 
     built = []
     original = groupoid._Rows.__missing__
 
     def counting(self, x):
-        built.append(x)
+        if self.side == 0:
+            built.append(x)
         return original(self, x)
 
     monkeypatch.setattr(groupoid._Rows, "__missing__", counting)
