@@ -7,13 +7,14 @@ with its entries inserted in carrier order and in reverse, and then
 ``SCRAMBLED`` seeded tables of 1 to 9 elements on a shuffled carrier with
 their entries inserted in random order.  On each table, every law but NR is
 checked on a fresh ``FiniteGroupoid`` and must give the verdict and the
-witness of ``tests/helpers.first_violations``.  The first mismatch is
-printed and the sweep exits 1; otherwise it prints what it checked and
-exits 0.
+witness of ``tests/helpers.first_violations``, and NR at word bound
+``NR_BOUND`` those of ``tests/helpers.first_nr_violation``.  The first
+mismatch is printed and the sweep exits 1; otherwise it prints what it
+checked and exits 0.
 
-It takes about a minute and a half on one core, so it is not part of the
-test suite: run it after changing a law scan, how a table's rows and
-columns are built, or the order in which a scan reads the table.
+It takes two to three minutes on one core, so it is not part of the test
+suite: run it after changing a law scan, how a table's rows and columns
+are built, or the order in which a scan reads the table.
 
   PYTHONPATH=src python3 scripts/sweep_witnesses.py
 """
@@ -27,11 +28,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from helpers import first_violations, random_groupoid
+from helpers import first_nr_violation, first_violations, random_groupoid
 
 from matchmerge import FiniteGroupoid, Property, check_property
 
 LAWS = [p for p in Property if p is not Property.WORD_IDEMPOTENT]
+NR_BOUND = 3
 SCRAMBLED = 20_000
 SEED = 2026
 
@@ -66,6 +68,13 @@ def mismatch(g: FiniteGroupoid) -> str | None:
                 f"{p} on {g.elements} {g.table}: checker {verdict.holds} {verdict.witness},"
                 f" oracle {witness}"
             )
+    verdict = check_property(g, Property.WORD_IDEMPOTENT, NR_BOUND)
+    witness = first_nr_violation(g, NR_BOUND)
+    if verdict.holds != (witness is None) or verdict.witness != witness:
+        return (
+            f"NR at bound {NR_BOUND} on {g.elements} {g.table}: checker {verdict.holds}"
+            f" {verdict.witness}, oracle {witness}"
+        )
     return None
 
 
@@ -78,7 +87,7 @@ def main() -> int:
             if found:
                 print(f"mismatch in {name} table {count}: {found}")
                 return 1
-        print(f"{name}: {count} tables, {len(LAWS)} laws each, all agree")
+        print(f"{name}: {count} tables, {len(LAWS)} laws and NR at bound {NR_BOUND} each, all agree")
     return 0
 
 

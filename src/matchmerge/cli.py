@@ -20,7 +20,6 @@ import argparse
 import itertools
 import json
 import os
-import re
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -114,10 +113,7 @@ def _parse_instance(arg: str | None, loaded: CliInput):
                     raise LoadError(arg, f"instance[{i}] has no key attribute")
             return list(doc.records)
     else:
-        # a record id is compact JSON: split records only between "}" and
-        # "{"; commas before the first id or after the last are no id
-        separator = r"(?<=\}),(?=\{)" if loaded.records else ","
-        ids = [part for part in re.split(separator, arg.strip(",")) if part]
+        ids = _record_ids(arg) if loaded.records else [i for i in arg.split(",") if i]
         if not ids:
             raise LoadError(arg, "empty instance")
     by_id = {loaded.host.key(m): m for m in loaded.members}
@@ -126,6 +122,25 @@ def _parse_instance(arg: str | None, loaded: CliInput):
         where = "not among the input records" if loaded.records else "outside the carrier"
         raise LoadError(arg, f"instance ids {where}: {missing}")
     return [by_id[i] for i in ids]
+
+
+def _record_ids(text: str) -> list[str]:
+    """The ids of a comma-separated list of record ids.  A record id is
+    compact JSON, which may hold commas, so each id ends where its JSON
+    value does; text that starts no JSON value is one id to the end."""
+    decode = json.JSONDecoder().raw_decode
+    ids, i = [], 0
+    while i < len(text):
+        if text[i] == ",":
+            i += 1
+            continue
+        try:
+            end = decode(text, i)[1]
+        except (ValueError, RecursionError):
+            end = len(text)
+        ids.append(text[i:end])
+        i = end
+    return ids
 
 
 def _fmt_witness(witness) -> str:

@@ -5,8 +5,9 @@ some ordered pairs (its domain).  ``FiniteGroupoid`` stores the table
 explicitly, which is what the exhaustive audits in the rest of the library
 work on; ``BlackBoxGroupoid`` wraps a match predicate and a merge function
 over an open universe and is bridged to explicit tables by budgeted closure.
-Both are hosts: they answer ``match``, ``merge``, ``key`` and ``features``,
-and closure and resolution read only those four names.
+Both are hosts: they answer ``match``, ``merge``, ``key`` and ``features``.
+Resolution, and closure of black-box rules, read only those four names;
+closure on a table reads the table's defined entries directly.
 
 All operations here are pure functions of immutable inputs.
 """
@@ -28,6 +29,7 @@ from .errors import (
 
 ElementId = str
 Pair = tuple[ElementId, ElementId]
+Line = list[tuple[ElementId, ElementId]]  # a row's (y, x o y) or a column's (x, x o y)
 
 CLOSED = "closed"
 BUDGET_EXHAUSTED = "budget_exhausted"
@@ -43,31 +45,6 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.holds
-
-
-class _Rows(dict):
-    """x -> [(y, x o y)] over the defined entries of x's row, in carrier
-    order: the row's entries in the host's filing, sorted on the row's
-    first request, so a row costs its entries, not the carrier."""
-
-    side = 0  # the side of ``FiniteGroupoid._filing`` this map reads
-
-    def __init__(self, host):
-        super().__init__()
-        self.host = host
-
-    def __missing__(self, e):
-        position = self.host._position
-        filed = self.host._filing[self.side].get(e, ())
-        line = self[e] = sorted(filed, key=lambda entry: position[entry[0]])
-        return line
-
-
-class _Columns(_Rows):
-    """y -> [(x, x o y)] over the defined entries of y's column, in carrier
-    order, built like the rows from the other side of the filing."""
-
-    side = 1
 
 
 @dataclass(frozen=True)
@@ -93,24 +70,29 @@ class FiniteGroupoid:
         init=False, repr=False, compare=False, default_factory=dict
     )
     # The defined entries filed by operand, ``x -> [(y, x o y)]`` by row and
-    # ``y -> [(x, x o y)]`` by column, in table order: one pass over the
-    # table, made on the first request of a row, a column or a closure over
-    # the table.  The row map and the column map sort each line out of it
-    # on the line's first request: ``defined_pairs``, the Rl/Rr/R scan, the
-    # A/CA/SA scan and NR read the rows, and the Rl/Rr/R scan the columns.
-    # All three are kept for the table's life, which is valid only because
-    # ``table`` never changes.
-    _rows = cached_property(_Rows)
-    _columns = cached_property(_Columns)
-
+    # ``y -> [(x, x o y)]`` by column, with every carrier element keyed: one
+    # pass over the table sorted in carrier order of the pair, so each line
+    # is in carrier order too.  Made on the first request of a row, a column
+    # or a closure over the table, and kept for the table's life, which is
+    # valid only because ``table`` never changes.  ``defined_pairs``, the
+    # Rl/Rr/R scan, the A/CA/SA scan and NR read the rows, and the Rl/Rr/R
+    # scan the columns.
     @cached_property
-    def _filing(self) -> tuple[dict, dict]:
-        rows: dict[ElementId, list[tuple[ElementId, ElementId]]] = {}
-        columns: dict[ElementId, list[tuple[ElementId, ElementId]]] = {}
-        for (x, y), xy in self.table.items():
-            rows.setdefault(x, []).append((y, xy))
-            columns.setdefault(y, []).append((x, xy))
+    def _filing(self) -> tuple[dict[ElementId, Line], dict[ElementId, Line]]:
+        rows: dict[ElementId, Line] = {e: [] for e in self.elements}
+        columns: dict[ElementId, Line] = {e: [] for e in self.elements}
+        position, n = self._position, len(self.elements)
+        # (x, y) sorts at position[x] * n + position[y], its carrier order
+        entries = sorted(
+            self.table.items(), key=lambda e: position[e[0][0]] * n + position[e[0][1]]
+        )
+        for (x, y), xy in entries:
+            rows[x].append((y, xy))
+            columns[y].append((x, xy))
         return rows, columns
+
+    _rows = property(lambda self: self._filing[0])
+    _columns = property(lambda self: self._filing[1])
 
     def __post_init__(self):
         elements = tuple(self.elements)
@@ -187,8 +169,7 @@ class FiniteGroupoid:
 
     def defined_pairs(self) -> Iterator[Pair]:
         """The composition domain, enumerated in carrier order."""
-        rows = self._rows
-        return ((x, y) for x in self.elements for y, _ in rows[x])
+        return ((x, y) for x, row in self._rows.items() for y, _ in row)
 
     def restrict(self, subset: Iterable[ElementId]) -> FiniteGroupoid:
         """Partial subgroupoid on ``subset``: compositions whose operands and
@@ -354,10 +335,10 @@ def _table_compositions(g: FiniteGroupoid, items):
     positions.
 
     Those pairs are the rows of the new elements, and their columns
-    restricted to older elements, read off the table's filing, which the
-    table's row and column maps share.  Each value is read through
-    ``g.table.get``, so a table that counts its lookups counts every
-    composition.
+    restricted to older elements, read off the table's filing, and sorted
+    here by closure position, which need not be carrier order.  Each value
+    is read through ``g.table.get``, so a table that counts its lookups
+    counts every composition.
     """
     rows, columns = g._filing
     position: dict[ElementId, int] = {}  # carrier id -> closure position
@@ -370,11 +351,11 @@ def _table_compositions(g: FiniteGroupoid, items):
         pairs = []  # i * n + j for the pair at closure positions (i, j)
         for i in range(start, n):
             e = ids[i]
-            for y, _ in rows.get(e, ()):
+            for y, _ in rows[e]:
                 j = position.get(y)
                 if j is not None:
                     pairs.append(i * n + j)
-            for x, _ in columns.get(e, ()):
+            for x, _ in columns[e]:
                 h = position.get(x)
                 if h is not None and h < start:
                     pairs.append(h * n + i)
@@ -595,13 +576,9 @@ def image(h: Homomorphism) -> FiniteGroupoid:
             f"not a homomorphism: witness {verdict.witness!r} ({verdict.detail})",
             verdict.witness,
         )
-    carrier = []
-    for e in h.source.elements:
-        fe = h(e)
-        if fe not in carrier:
-            carrier.append(fe)
+    carrier = tuple(dict.fromkeys(map(h, h.source.elements)))
     table = {}
     for x, y in h.source.defined_pairs():
         fx, fy = h(x), h(y)
         table[(fx, fy)] = h.target.table[(fx, fy)]
-    return FiniteGroupoid(tuple(carrier), table)
+    return FiniteGroupoid(carrier, table)

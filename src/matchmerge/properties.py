@@ -6,11 +6,11 @@ order as a replayable witness, so two runs on the same input always return
 the same verdict.  Where only defined compositions can fail a law, a scan
 reads only those: the pair scan is one pass over the defined entries; the
 representativity scan walks rows and columns, and the triple scan (once SA
-has a witness) and NR walk rows, from the row and column maps each table
-keeps: one pass files the table's entries by operand on the first request,
-and each line is sorted out of that filing once, on its own first request,
-so it costs its entries, not the carrier.  NR builds its defined words from
-shorter defined words one first letter at a time.
+has a witness) and NR walk rows, from the filing each table keeps: one
+sorted pass over the table, on the first request, lists every row and
+column in carrier order, so a line costs its entries, not the carrier.  NR
+builds its defined words from shorter defined words one first letter at a
+time.
 
 Idempotence and strong associativity together imply word idempotence (NR)
 at every bound.  Under SA both groupings of any three factors are defined
@@ -130,7 +130,7 @@ def _scan_representativity(g: FiniteGroupoid):
 
     Rl can fail at (p1, p2, p) only where p o p1 is defined, and Rr only
     where p2 o p is: for each defined (p1, p2) in carrier order, Rl walks
-    p1's column and Rr p2's row, from the maps the table keeps."""
+    p1's column and Rr p2's row, from the table's filing."""
     table, rows, columns = g.table, g._rows, g._columns
     left = right = None
     for p1 in g.elements:
@@ -154,9 +154,10 @@ def _scan_triples(g: FiniteGroupoid):
     SA, at the first p3 in p2's row with p1 o bc defined; every other cell
     tries every p3.  Once SA has a witness, only A and CA can fail, and both
     need ab and bc defined: the scan finishes the current p1 in this cell
-    loop, and for each later p1 walks p1's row and then p2's row, the rows
-    the table keeps.  A total associative table never builds a row."""
-    table, elements, rows = g.table, g.elements, g._rows
+    loop, and for each later p1 walks p1's row and then p2's row, from the
+    table's filing.  On a total associative table it reads no line, so it
+    files nothing."""
+    table, elements = g.table, g.elements
     ca = sa = None
     for p1 in elements:
         if sa is None:
@@ -178,8 +179,9 @@ def _scan_triples(g: FiniteGroupoid):
                         if bc is not None:
                             ca = ca or w
                 elif sa is None:
-                    sa = next(((p1, p2, p3) for p3, bc in rows[p2] if (p1, bc) in table), None)
+                    sa = next(((p1, p2, p3) for p3, bc in g._rows[p2] if (p1, bc) in table), None)
             continue
+        rows = g._rows
         for p2, ab in rows[p1]:
             for p3, bc in rows[p2]:
                 left = table.get((ab, p3))

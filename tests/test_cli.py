@@ -622,6 +622,45 @@ def test_inline_instance_names_multi_attribute_records(capsys, tmp_path):
     assert "resolved (1):" in inline
 
 
+def test_inline_instance_ids_may_hold_the_record_separator(capsys, tmp_path):
+    # a value holding "},{" is no boundary between two record ids
+    path = tmp_path / "records.json"
+    records = [{"name": ["x},{y"]}, {"name": ["z"]}]
+    path.write_text(json.dumps({"key_attributes": ["name"], "records": records}), encoding="utf-8")
+    code, out, _ = invoke(capsys, "closure", str(path), "--format", "machine")
+    ids = json.loads(out)["carrier"]
+    assert (code, ids) == (0, ['{"name":["x},{y"]}', '{"name":["z"]}'])
+    for instance, carrier in (
+        (ids[0], ids[:1]),
+        (",".join(ids), ids),
+        ("," + ",,".join(ids) + ",", ids),
+    ):
+        argv = ("closure", str(path), "--instance", instance, "--format", "machine")
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["carrier"] == carrier
+    # text that starts no JSON value, or one nested too deeply, is one id
+    for instance in ("zz," + ids[1], "[" * 5000):
+        code, _, err = invoke(capsys, "closure", str(path), "--instance", instance)
+        assert code == 2
+        assert err == f"error: {instance}: instance ids not among the input records: [{instance!r}]\n"
+
+
+def test_check_reports_a_violated_implication_as_a_checker_bug(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "implication_audit", lambda g, report: ["I and SA => NR", "SC => S"])
+    code, out, _ = invoke(capsys, "check", "fixtures/p1")
+    assert code == 1
+    assert out.splitlines()[-1] == "implication audit: CHECKER BUG, violated: I and SA => NR; SC => S"
+    code, out, _ = invoke(capsys, "check", "fixtures/p1", "--format", "machine")
+    assert code == 1
+    assert json.loads(out)["implication_violations"] == ["I and SA => NR", "SC => S"]
+
+
+def test_machine_output_rejects_a_key_that_is_not_a_string():
+    with pytest.raises(TypeError, match="keys must be str, not int"):
+        cli._json({"counts": {1: "a"}})
+
+
 @pytest.mark.parametrize("flag", ["--budget-elements", "--budget-rounds"])
 @pytest.mark.parametrize("value", ["0", "-4"])
 def test_budget_below_one_exits_two(capsys, flag, value):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -318,29 +320,20 @@ def test_triple_scan_finds_catenary_associativity_after_strong_associativity():
     }
 
 
-def _count_row_builds(monkeypatch) -> list:
-    """Patch the line builder of every table; returns the list of the
-    elements whose row is built, in build order.  Columns share the
-    builder and are not listed."""
-    import matchmerge.groupoid as groupoid
-
-    built = []
-    original = groupoid._Rows.__missing__
-
-    def counting(self, x):
-        if self.side == 0:
-            built.append(x)
-        return original(self, x)
-
-    monkeypatch.setattr(groupoid._Rows, "__missing__", counting)
-    return built
+def _count_filings(monkeypatch) -> list:
+    """Patch the filing of every table; returns the list of the tables
+    filed, in filing order."""
+    filed = []
+    original = FiniteGroupoid._filing.func
+    monkeypatch.setattr(FiniteGroupoid._filing, "func", lambda g: filed.append(g) or original(g))
+    return filed
 
 
 def test_triple_scan_builds_no_row_of_a_total_associative_table(monkeypatch):
-    built = _count_row_builds(monkeypatch)
+    filed = _count_filings(monkeypatch)
     g = builtin("maxnat", 6)
     assert all(check_property(g, p).holds for p in _TRIPLE_LAWS)
-    assert built == []
+    assert filed == []
 
 
 def test_stored_verdicts_do_not_depend_on_request_order():
@@ -458,27 +451,57 @@ def test_word_idempotence_stops_at_an_early_witness_of_a_dense_table():
         assert _assert_nr_matches_oracle(g, bound) == ("d", "g")
 
 
-def test_word_idempotence_builds_only_the_rows_it_reads(monkeypatch):
+class _CountingRows(dict):
+    """A row map that lists the element of every row read, in read order."""
+
+    def __init__(self, rows, read):
+        super().__init__(rows)
+        self.read = read
+
+    def __getitem__(self, x):
+        self.read.append(x)
+        return dict.__getitem__(self, x)
+
+
+def test_word_idempotence_reads_only_the_rows_it_needs():
     # a total idempotent table that fails SA, and NR at its second word (a, b)
     rng = random.Random(3)
     elements = tuple("abcdefghijkl")
     table = {(x, y): x if x == y else rng.choice(elements) for x in elements for y in elements}
     g = FiniteGroupoid(elements, table)
     assert not check_property(g, P.STRONGLY_ASSOCIATIVE).holds
-    g._rows.clear()  # count NR's own requests, not the triple scan's
-    built = _count_row_builds(monkeypatch)
+    read = []
+    rows, columns = g._filing
+    vars(g)["_filing"] = _CountingRows(rows, read), columns
     assert _assert_nr_matches_oracle(g, 3) == ("a", "b")
     # the words of length 2 that start with a need a's row only
-    assert built == ["a"]
+    assert read == ["a"]
 
 
 def test_a_property_report_builds_each_row_of_a_table_once(monkeypatch):
     # a successor chain with loops: I holds and SA fails, so the triple
     # scan, the representativity scan and NR all read rows of the one table
-    built = _count_row_builds(monkeypatch)
-    property_report(builtin("uchain", 12), 3)
-    assert built
-    assert len(built) == len(set(built))
+    filed = _count_filings(monkeypatch)
+    g = builtin("uchain", 12)
+    property_report(g, 3)
+    assert filed == [g]
+
+
+def test_a_reported_table_is_freed_with_its_last_reference():
+    # nothing the report stores on the table refers back to it, so the
+    # table needs no cycle collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = builtin("uchain", 12)
+        property_report(g, 3)
+        assert "_filing" in vars(g) and g._derived
+        freed = weakref.ref(g)
+        del g
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_word_idempotence_needs_strong_associativity_not_associativity():
