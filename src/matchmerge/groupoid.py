@@ -74,9 +74,10 @@ class FiniteGroupoid:
     # pass over the table sorted in carrier order of the pair, so each line
     # is in carrier order too.  Made on the first request of a row, a column
     # or a closure over the table, and kept for the table's life, which is
-    # valid only because ``table`` never changes.  ``defined_pairs``, the
-    # Rl/Rr/R scan, the A/CA/SA scan and NR read the rows, and the Rl/Rr/R
-    # scan the columns.
+    # valid only because ``table`` never changes.  ``defined_pairs``, NR and
+    # the A/CA/SA scan read the rows (the scan walks each defined chain
+    # through two of them), and the Rl/Rr/R scan builds the operand sets of
+    # rows and columns from them.
     @cached_property
     def _filing(self) -> tuple[dict[ElementId, Line], dict[ElementId, Line]]:
         rows: dict[ElementId, Line] = {e: [] for e in self.elements}
@@ -92,7 +93,6 @@ class FiniteGroupoid:
         return rows, columns
 
     _rows = property(lambda self: self._filing[0])
-    _columns = property(lambda self: self._filing[1])
 
     def __post_init__(self):
         elements = tuple(self.elements)

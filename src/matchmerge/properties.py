@@ -3,14 +3,14 @@
 Each family of laws is decided by one scan (of elements, pairs, triples, or
 bounded words), which reports the first violation of each law in carrier
 order as a replayable witness, so two runs on the same input always return
-the same verdict.  Where only defined compositions can fail a law, a scan
-reads only those: the pair scan is one pass over the defined entries; the
-representativity scan walks rows and columns, and the triple scan (once SA
-has a witness) and NR walk rows, from the filing each table keeps: one
-sorted pass over the table, on the first request, lists every row and
-column in carrier order, so a line costs its entries, not the carrier.  NR
-builds its defined words from shorter defined words one first letter at a
-time.
+the same verdict.  Each scan costs what can fail, not the carrier: the pair
+scan is one pass over the defined entries; the other scans read the filing
+each table keeps (one sorted pass over the table, on the first request,
+lists every row and column in carrier order).  The representativity scan
+decides each defined pair by two subset tests of line operand sets; the
+triple scan walks the defined chains, two lookups each, and decides SA off
+the chains by counting; NR builds its defined words from shorter defined
+words one first letter at a time.
 
 Idempotence and strong associativity together imply word idempotence (NR)
 at every bound.  Under SA both groupings of any three factors are defined
@@ -23,6 +23,7 @@ decided from I and SA first, and only the remaining tables pay for words.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -123,22 +124,40 @@ def _scan_pairs(g: FiniteGroupoid):
     return tuple(None if w is None else (elements[w[0]], elements[w[1]]) for w in (s, c, sc))
 
 
+class _OperandSets(dict):
+    """The operands of each line of ``lines`` as a frozenset, each built
+    from its line on first request."""
+
+    def __init__(self, lines):
+        self.lines = lines
+
+    def __missing__(self, e):
+        operands = self[e] = frozenset(x for x, _ in self.lines[e])
+        return operands
+
+
 def _scan_representativity(g: FiniteGroupoid):
     """Rl: (p, p1) and (p1, p2) defined => (p, p1 o p2) defined.
     Rr, its dual: (p1, p2) and (p2, p) defined => (p1 o p2, p) defined.
     R: both; its witness is Rl's, else Rr's.
 
-    Rl can fail at (p1, p2, p) only where p o p1 is defined, and Rr only
-    where p2 o p is: for each defined (p1, p2) in carrier order, Rl walks
-    p1's column and Rr p2's row, from the table's filing."""
-    table, rows, columns = g.table, g._rows, g._columns
+    With c = p1 o p2, Rl holds at (p1, p2) exactly when the operands of
+    p1's column are among those of c's column, and Rr exactly when the
+    operands of p2's row are among those of c's row: one subset test each,
+    for each defined (p1, p2) in carrier order, of operand sets built from
+    the table's filing on first use.  Only a failing test walks its line,
+    for the first p missing from c's, so the scan makes no table lookup."""
+    rows, columns = g._filing
+    row_operands, column_operands = _OperandSets(rows), _OperandSets(columns)
     left = right = None
     for p1 in g.elements:
         for p2, c in rows[p1]:
-            if left is None:
-                left = next(((p1, p2, p) for p, _ in columns[p1] if (p, c) not in table), None)
-            if right is None:
-                right = next(((p1, p2, p) for p, _ in rows[p2] if (c, p) not in table), None)
+            if left is None and not column_operands[p1] <= column_operands[c]:
+                missing = column_operands[c]
+                left = next((p1, p2, p) for p, _ in columns[p1] if p not in missing)
+            if right is None and not row_operands[p2] <= row_operands[c]:
+                missing = row_operands[c]
+                right = next((p1, p2, p) for p, _ in rows[p2] if p not in missing)
             if left and right:
                 return left, right, left
     return left, right, left or right
@@ -150,48 +169,54 @@ def _scan_triples(g: FiniteGroupoid):
     CA: when ab and bc are defined, both groupings are defined and agree.
     SA: both groupings defined and equal, or both undefined.
 
-    Until SA has a witness, a cell (p1, p2) with ab undefined can fail only
-    SA, at the first p3 in p2's row with p1 o bc defined; every other cell
-    tries every p3.  Once SA has a witness, only A and CA can fail, and both
-    need ab and bc defined: the scan finishes the current p1 in this cell
-    loop, and for each later p1 walks p1's row and then p2's row, from the
-    table's filing.  On a total associative table it reads no line, so it
-    files nothing."""
-    table, elements = g.table, g.elements
+    A and CA can fail only on a chain, where ab and bc are defined: for each
+    p1 the scan walks p1's row and, for each entry (p2, ab), p2's row, from
+    the table's filing, with two lookups per chain.  SA can fail off the
+    chains too, where one grouping is defined and the other is not, and is
+    decided by counting.  The left grouping is defined at the p3 of ab's
+    row, and the right one at the entries (p2, p3) whose value is an operand
+    of p1's row; every chain on which both are defined and agree takes one
+    of each, and SA holds at p1 exactly when those chains take them all.
+    Only a p1 where the count falls short, or where A fails first, is
+    searched for the least failing (p2, p3)."""
+    rows, get = g._rows, g.table.get
+    valued = Counter(g.table.values())
     ca = sa = None
-    for p1 in elements:
-        if sa is None:
-            for p2 in elements:
-                ab = table.get((p1, p2))
-                if ab is not None:
-                    for p3 in elements:
-                        bc = table.get((p2, p3))
-                        left = table.get((ab, p3))
-                        right = None if bc is None else table.get((p1, bc))
-                        if left == right and (left is not None or bc is None):
-                            continue
-                        w = (p1, p2, p3)
-                        if left is not None and right is not None:
-                            # both groupings defined and different: A, CA and SA all fail
-                            return w, ca or w, sa or w
-                        if left != right:
-                            sa = sa or w
-                        if bc is not None:
-                            ca = ca or w
-                elif sa is None:
-                    sa = next(((p1, p2, p3) for p3, bc in g._rows[p2] if (p1, bc) in table), None)
-            continue
-        rows = g._rows
-        for p2, ab in rows[p1]:
+    for p1 in g.elements:
+        row, held = rows[p1], 0
+        for p2, ab in row:
             for p3, bc in rows[p2]:
-                left = table.get((ab, p3))
-                right = table.get((p1, bc))
-                if left is None or right is None:
-                    ca = ca or (p1, p2, p3)
-                elif left != right:
-                    w = (p1, p2, p3)
-                    return w, ca or w, sa
+                left, right = get((ab, p3)), get((p1, bc))
+                if left == right and left is not None:
+                    held += 1
+                    continue
+                w = (p1, p2, p3)
+                ca = ca or w
+                if left is not None and right is not None:
+                    # both groupings defined and different: A, CA and SA all fail
+                    return w, ca, sa or _first_strong_failure(g, p1)
+        if sa is None and 2 * held < sum(len(rows[ab]) + valued[p2] for p2, ab in row):
+            sa = _first_strong_failure(g, p1)
     return None, ca, sa
+
+
+def _first_strong_failure(g: FiniteGroupoid, p1):
+    """The least (p1, p2, p3) in carrier order at which SA fails, for a p1
+    where it fails.  A grouping is defined at (p2, p3) only when p3 is in
+    the row of p1 o p2 (the left one) or in p2's row (the right one), so
+    each p2 in carrier order tries the p3 of those lines, and the first p2
+    with a failing p3 gives the witness."""
+    rows, get, position = g._rows, g.table.get, g._position
+    for p2 in g.elements:
+        ab = get((p1, p2))
+        failing = []
+        for p3, _ in rows[p2] if ab is None else rows[p2] + rows[ab]:
+            bc = get((p2, p3))
+            left = None if ab is None else get((ab, p3))
+            if left != (None if bc is None else get((p1, bc))):
+                failing.append(p3)
+        if failing:
+            return p1, p2, min(failing, key=position.__getitem__)
 
 
 def _triple_universe(n: int) -> str:
@@ -282,9 +307,9 @@ def check_property(
     """Exhaustively audit one axiom; deterministic first witness on failure.
 
     The laws are decided by family, one scan each: I over elements; S, C
-    and SC over defined entries; Rl, Rr and R over defined pairs and the
-    third elements of a column or a row;
-    A, CA and SA over triples; NR from I and SA, else over words up to
+    and SC over defined entries; Rl, Rr and R over defined pairs, by line
+    operand sets; A, CA and SA over defined chains, with SA off the chains
+    counted; NR from I and SA, else over words up to
     ``nr_word_bound``, per bound.  The first request for any law of a
     family runs its scan and stores every verdict of the family on ``g``;
     later requests on the same object read the stored verdict.  This relies

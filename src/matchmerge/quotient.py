@@ -186,6 +186,8 @@ def class_semigroup_check(
     is its left fold.  Two-letter words always collapse, and if every x y z
     collapses to x z then by induction (w1 ... w(k-1)) wk = (w1 w(k-1)) wk
     = w1 wk, so one scan of the triples decides every word up to the bound.
+    That scan checks both laws at each triple; a failing association is
+    reported before any word that does not collapse, wherever it lies.
     """
     members = g.require_all(members)
     inside = set(members)
@@ -196,11 +198,13 @@ def class_semigroup_check(
             return Verdict(False, (x, y), "pair undefined inside the class")
         if v not in inside:
             return Verdict(False, (x, y), "composition escapes the class")
+    collapse = None
     for x, y, z in cartesian(members, repeat=3):
-        if t[(t[(x, y)], z)] != t[(x, t[(y, z)])]:
+        xy_z = t[(t[(x, y)], z)]
+        if xy_z != t[(x, t[(y, z)])]:
             return Verdict(False, (x, y, z), "association fails in the class")
-    if nr_word_bound >= 3:
-        for x, y, z in cartesian(members, repeat=3):
-            if t[(t[(x, y)], z)] != t[(x, z)]:
-                return Verdict(False, (x, y, z), "word does not collapse to ends")
+        if collapse is None and nr_word_bound >= 3 and xy_z != t[(x, z)]:
+            collapse = (x, y, z)
+    if collapse:
+        return Verdict(False, collapse, "word does not collapse to ends")
     return Verdict(True)

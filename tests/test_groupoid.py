@@ -117,8 +117,7 @@ def test_every_row_and_column_costs_its_entries_not_the_carrier():
     g = builtin("chain", 48)
     log = []
     object.__setattr__(g, "table", _CountingTable(g.table, log))
-    rows = {x: g._rows[x] for x in g.elements}
-    columns = {y: g._columns[y] for y in g.elements}
+    rows, columns = g._filing
     # all the lines together read each defined entry once, and no other pair
     assert sorted(log) == sorted(g.table)
     # the lines are the table's, in carrier order

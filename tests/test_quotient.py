@@ -365,6 +365,20 @@ def test_class_check_rejects_non_classes(p1):
     assert verdict.witness == ("b", "a")
 
 
+def test_class_check_reports_association_before_an_earlier_collapse():
+    # a b b does not collapse to its ends: (a b) b = b b = a, while a b = b;
+    # association fails only later in triple order, at (b a) b = a b = b
+    # against b (a b) = b b = a, and it is the failure reported
+    table = {("a", "a"): "a", ("a", "b"): "b", ("b", "a"): "a", ("b", "b"): "a"}
+    g = FiniteGroupoid(("a", "b"), table)
+    verdict = class_semigroup_check(g, ("a", "b"))
+    assert (verdict.holds, verdict.witness, verdict.detail) == (
+        False, ("b", "a", "b"), "association fails in the class"
+    )
+    verdict = class_semigroup_check(g, ("a", "b"), 2)
+    assert (verdict.holds, verdict.witness) == (False, ("b", "a", "b"))
+
+
 def test_class_words_collapse_to_endpoints(leftzero2):
     # inside a class every bounded word equals first-composed-with-last
     from matchmerge import word_product
