@@ -13,13 +13,18 @@ a third fail it only where one grouping is undefined: the cases in which
 the triple scan decides SA by counting.  On each table, every law but NR is
 checked on a fresh ``FiniteGroupoid`` and must give the verdict and the
 witness of ``tests/helpers.first_violations``, and NR at word bound
-``NR_BOUND`` those of ``tests/helpers.first_nr_violation``.  The first
-mismatch is printed and the sweep exits 1; otherwise it prints what it
-checked and exits 0.
+``NR_BOUND`` those of ``tests/helpers.first_nr_violation``.  On the
+scrambled and sparse tables, ``clique_cover`` and ``connected_components``
+of the domain graph must also give the cliques (nodes, totality and leaks)
+of ``tests/helpers.naive_clique_cover`` and the components (nodes and
+table) of ``tests/helpers.naive_components``.  The first mismatch is
+printed and the sweep exits 1; otherwise it prints what it checked and
+exits 0.
 
 It takes about three minutes on one core, so it is not part of the test
 suite: run it after changing a law scan, how a table's rows and columns
-are built, or the order in which a scan reads the table.
+are built, the order in which a scan reads the table, or how the domain
+graph is covered or split.
 
   PYTHONPATH=src python3 scripts/sweep_witnesses.py
 """
@@ -33,9 +38,22 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from helpers import first_nr_violation, first_violations, random_groupoid
+from helpers import (
+    first_nr_violation,
+    first_violations,
+    naive_clique_cover,
+    naive_components,
+    random_groupoid,
+)
 
-from matchmerge import FiniteGroupoid, Property, check_property
+from matchmerge import (
+    FiniteGroupoid,
+    Property,
+    check_property,
+    clique_cover,
+    connected_components,
+    domain_graph,
+)
 
 LAWS = [p for p in Property if p is not Property.WORD_IDEMPOTENT]
 NR_BOUND = 3
@@ -73,9 +91,10 @@ def sparse_tables():
         yield FiniteGroupoid(tuple(rng.sample(g.elements, size)), dict(entries))
 
 
-def mismatch(g: FiniteGroupoid) -> str | None:
-    """The first law on which the checker and the oracle differ, described,
-    or None when they agree on every law."""
+def mismatch(g: FiniteGroupoid, graphs: bool) -> str | None:
+    """The first law on which the checker and the oracle differ, then, when
+    ``graphs``, the clique cover or the components if they differ from
+    theirs, described; or None when they all agree."""
     expected = first_violations(g)
     for p in LAWS:
         verdict, witness = check_property(g, p), expected[str(p)]
@@ -91,24 +110,38 @@ def mismatch(g: FiniteGroupoid) -> str | None:
             f"NR at bound {NR_BOUND} on {g.elements} {g.table}: checker {verdict.holds}"
             f" {verdict.witness}, oracle {witness}"
         )
+    if graphs:
+        dg = domain_graph(g)
+        cover = [(c.nodes, c.is_total, c.leaks) for c in clique_cover(dg).cliques]
+        oracle = naive_clique_cover(g)
+        if cover != oracle:
+            return f"clique cover of {g.elements} {g.table}: {cover}, oracle {oracle}"
+        components = [(c.nodes, c.groupoid.table) for c in connected_components(dg)]
+        oracle = naive_components(g)
+        if components != oracle:
+            return f"components of {g.elements} {g.table}: {components}, oracle {oracle}"
     return None
 
 
 def main() -> int:
     batches = (
-        ("three-element", three_element_tables()),
-        ("scrambled", scrambled_tables()),
-        ("sparse", sparse_tables()),
+        ("three-element", three_element_tables(), False),
+        ("scrambled", scrambled_tables(), True),
+        ("sparse", sparse_tables(), True),
     )
-    for name, tables in batches:
+    for name, tables, graphs in batches:
         count = 0
         for g in tables:
             count += 1
-            found = mismatch(g)
+            found = mismatch(g, graphs)
             if found:
                 print(f"mismatch in {name} table {count}: {found}")
                 return 1
-        print(f"{name}: {count} tables, {len(LAWS)} laws and NR at bound {NR_BOUND} each, all agree")
+        extra = ", clique cover and components" if graphs else ""
+        print(
+            f"{name}: {count} tables, {len(LAWS)} laws and NR at bound {NR_BOUND}{extra}"
+            " each, all agree"
+        )
     return 0
 
 

@@ -121,14 +121,14 @@ def is_total(g: FiniteGroupoid) -> TotalityReport:
     return TotalityReport(missing is None, missing, graph_complete, loops_complete)
 
 
-def _grow_clique(nodes: tuple, neighbours: dict, start: list) -> tuple[ElementId, ...]:
-    members = set(start)
+def _grow_clique(index: dict, neighbours: dict, start: list) -> tuple[ElementId, ...]:
+    members = list(start)
     candidates = set.intersection(*(neighbours[s] for s in start))
-    for w in nodes:
+    for w in sorted(candidates, key=index.__getitem__):
         if w in candidates:
-            members.add(w)
+            members.append(w)
             candidates &= neighbours[w]
-    return tuple(n for n in nodes if n in members)
+    return tuple(sorted(members, key=index.__getitem__))
 
 
 def _build_clique(g: FiniteGroupoid, nodes: tuple[ElementId, ...]) -> Clique:
@@ -154,9 +154,12 @@ def clique_cover(dg: DomainGraph) -> CliqueCover:
     lowest-index uncovered node, then at each mutual edge still uncovered
     (overlapping cliques are allowed), and grows by each node, in carrier
     order, in the intersection of its members' neighbour sets; an isolated
-    node stays a singleton.  Minimum covers are
-    intractable in general; any cover whose cliques catch every node and
-    every mutual edge is acceptable.
+    node stays a singleton.  Only the seed's candidates (the intersection
+    at the seed) are walked, since candidates only shrink, so a clique
+    costs its candidates, not the carrier, and the cover of a chain is
+    linear in its length.  Minimum covers are intractable in general; any
+    cover whose cliques catch every node and every mutual edge is
+    acceptable.
     """
     g = dg.groupoid
     index = g._position
@@ -181,10 +184,10 @@ def clique_cover(dg: DomainGraph) -> CliqueCover:
 
     for n in dg.nodes:
         if n not in covered_nodes:
-            mark(_grow_clique(dg.nodes, neighbours, [n]))
+            mark(_grow_clique(index, neighbours, [n]))
     for edge in mutual_edges:
         if edge not in covered_edges:
-            mark(_grow_clique(dg.nodes, neighbours, list(edge)))
+            mark(_grow_clique(index, neighbours, list(edge)))
     return CliqueCover(tuple(_build_clique(g, c) for c in cliques))
 
 

@@ -19,6 +19,9 @@ bracketing of a word into the left-nested one without changing its value,
 so a word's product is its left fold or nothing.  When the fold of w is v,
 the bracketing (w)(w) of w ++ w gives v v = v by I.  NR is therefore
 decided from I and SA first, and only the remaining tables pay for words.
+Under I no constant word a...a can fail either: by induction on the top
+split, every grouping of it evaluates to a, so it and its double both have
+product {a}; the word scan skips their doubling pass.
 """
 
 from __future__ import annotations
@@ -260,10 +263,11 @@ def _word_idempotence_witness(g: FiniteGroupoid, bound: int):
     and each entry (y, x o y) of that row meets the words v whose product
     holds y.  Length k is built one first letter at a time, in carrier
     order, and that letter's words are checked in carrier order, each by one
-    interval pass over w ++ w; so the first mismatch is the first violating
-    word in carrier order, and a table that fails early never builds the
-    rest.  The words of the last length are not kept.  This is an infinite
-    scheme; a pass is always relative to the word-length bound.
+    interval pass over w ++ w, except the constant word a...a, which I
+    settles (see the module docstring); so the first mismatch is the first
+    violating word in carrier order, and a table that fails early never
+    builds the rest.  The words of the last length are not kept.  This is
+    an infinite scheme; a pass is always relative to the word-length bound.
     """
     if bound < 1:
         raise ValueError("word bound must be at least 1")
@@ -290,8 +294,9 @@ def _word_idempotence_witness(g: FiniteGroupoid, bound: int):
                         for y, xy in row[x]:
                             for v in right.get(y, ()):
                                 products.setdefault(u + v, set()).add(xy)
+            constant = (a,) * k
             for w in sorted(products, key=lambda word: [position[e] for e in word]):
-                if _subset_product(g, [{e} for e in w + w]) != products[w]:
+                if w != constant and _subset_product(g, [{e} for e in w + w]) != products[w]:
                     return w
             if k < bound:
                 starting[k][a] = products

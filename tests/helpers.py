@@ -443,6 +443,32 @@ def random_banded_groupoid(rng: random.Random, size: int) -> FiniteGroupoid:
     return FiniteGroupoid(elements, table)
 
 
+def successor_chain(rng: random.Random, size: int, loops: bool) -> FiniteGroupoid:
+    """e_i e_{i+1} = e_{i+2} along a random order of a shuffled carrier,
+    with an idempotent loop on every element when ``loops``."""
+    labels = [f"e{i}" for i in range(size)]
+    elements = tuple(rng.sample(labels, size))
+    path = rng.sample(labels, size)
+    table = {(path[i], path[i + 1]): path[i + 2] for i in range(size - 2)}
+    if loops:
+        table.update({(e, e): e for e in elements})
+    return FiniteGroupoid(elements, table)
+
+
+def random_sparse_shaped(rng: random.Random, size: int) -> FiniteGroupoid:
+    """An idempotent table on a shuffled carrier where a quarter of the
+    elements are sinks (loop only) and each other element, a source,
+    composes with 1 to 3 other sources into a random sink."""
+    labels = [f"s{i}" for i in range(size)]
+    sinks, sources = labels[: size // 4], labels[size // 4 :]
+    table = {(e, e): e for e in labels}
+    for x in sources:
+        for y in rng.sample(sources, rng.randint(1, 3)):
+            if y != x:
+                table[(x, y)] = rng.choice(sinks)
+    return FiniteGroupoid(tuple(rng.sample(labels, size)), table)
+
+
 def random_record_instance(rng: random.Random, max_records: int = 8) -> list[Record]:
     """Records with one name value from a small pool plus a unique marker
     attribute, so every union in the closure is distinct."""

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from matchmerge import (
+    DomainGraph,
     DomainNotSymmetricError,
     FiniteGroupoid,
     builtin,
@@ -16,7 +17,13 @@ from matchmerge import (
     to_dot,
 )
 from conftest import finite_fixture_suite
-from helpers import naive_clique_cover, naive_components, random_groupoid
+from helpers import (
+    naive_clique_cover,
+    naive_components,
+    random_groupoid,
+    random_sparse_shaped,
+    successor_chain,
+)
 
 
 def symmetrized_p1() -> FiniteGroupoid:
@@ -240,6 +247,70 @@ def test_cover_matches_the_naive_greedy_oracle():
         escapes += any(component_of[v] != component_of[x] for (x, _), v in g.table.items())
     # some entry's value lies in another component, so its drop is exercised
     assert escapes > 0
+
+
+def test_cover_and_components_match_the_oracles_on_larger_tables():
+    """Successor chains of 20 to 60 elements with and without loops, seeded
+    tables of 10 to 30 elements at densities 0.02 to 0.8, and tables of 20
+    to 40 elements shaped like the benchmark's random sparse tables, each
+    on a shuffled carrier."""
+    rng = random.Random(26)
+    tables = [successor_chain(rng, rng.randint(20, 60), loops=i % 2 == 0) for i in range(8)]
+    for _ in range(60):
+        size = rng.randint(10, 30)
+        g = random_groupoid(rng, size, rng.uniform(0.02, 0.8), idempotent=rng.random() < 0.5)
+        tables.append(FiniteGroupoid(tuple(rng.sample(g.elements, size)), g.table))
+    tables += [random_sparse_shaped(rng, rng.randint(20, 40)) for _ in range(4)]
+    largest = 0
+    for g in tables:
+        dg = domain_graph(g)
+        cover = clique_cover(dg)
+        assert [(c.nodes, c.is_total, c.leaks) for c in cover.cliques] == naive_clique_cover(g)
+        components = connected_components(dg)
+        assert [(c.nodes, c.groupoid.table) for c in components] == naive_components(g)
+        largest = max(largest, *(len(c.nodes) for c in cover.cliques))
+    assert largest >= 4
+
+
+class _CountingIndex(dict):
+    """A carrier-position map that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return dict.__getitem__(self, key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return dict.get(self, key, default)
+
+
+class _CountingNodes(tuple):
+    """A node tuple that counts the nodes its iterations yield."""
+
+    visits = 0
+
+    def __iter__(self):
+        for n in tuple.__iter__(self):
+            self.visits += 1
+            yield n
+
+
+def test_cover_of_a_chain_costs_its_length():
+    # a successor chain with loops has no mutual edge, so its cover is n
+    # singletons; each costs a constant number of node visits and position
+    # lookups, not a walk of the carrier
+    work = {}
+    for n in (25, 50, 100):
+        g = builtin("uchain", n)
+        index = _CountingIndex(g._position)
+        object.__setattr__(g, "_position", index)
+        nodes = _CountingNodes(g.elements)
+        cover = clique_cover(DomainGraph(g, nodes, frozenset(g.table)))
+        assert [c.nodes for c in cover.cliques] == [(e,) for e in g.elements]
+        work[n] = nodes.visits + index.lookups
+    assert work[50] == 2 * work[25] and work[100] == 2 * work[50]
 
 
 def test_components_and_covers_never_call_restrict(monkeypatch):

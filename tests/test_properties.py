@@ -28,6 +28,8 @@ from helpers import (
     idempotent_tables,
     parenthesization_products,
     random_groupoid,
+    random_sparse_shaped,
+    successor_chain,
 )
 
 P = Property
@@ -539,6 +541,31 @@ def test_word_idempotence_stops_at_an_early_witness_of_a_dense_table():
         assert _assert_nr_matches_oracle(g, bound) == ("d", "g")
 
 
+def test_word_idempotence_matches_the_oracle_beyond_the_three_element_sweep():
+    """NR at bounds 2 and 3 against the oracle, each table on a shuffled
+    carrier: 24 seeded sparse idempotent tables of 10 to 16 elements at
+    densities 0.02 to 0.15, 6 successor chains with loops of 20 to 48
+    elements, and 2 tables of 20 to 24 elements shaped like the benchmark's
+    random sparse tables (a quarter of them sinks)."""
+    rng = random.Random(26)
+    tables = []
+    for _ in range(24):
+        size = rng.randint(10, 16)
+        g = random_groupoid(rng, size, rng.uniform(0.02, 0.15), idempotent=True)
+        tables.append(FiniteGroupoid(tuple(rng.sample(g.elements, size)), g.table))
+    tables += [successor_chain(rng, rng.randint(20, 48), loops=True) for _ in range(6)]
+    tables += [random_sparse_shaped(rng, rng.randint(20, 24)) for _ in range(2)]
+    lengths, words = [], 0
+    for g in tables:
+        witness = first_nr_violation(g, 3)
+        lengths.append(len(witness) if witness else None)
+        for bound in (2, 3):
+            _assert_nr_verdict(g, bound, witness if witness and len(witness) <= bound else None)
+        words += not check_property(g, P.STRONGLY_ASSOCIATIVE).holds
+    # every table reaches the word scan, and both lengths of witness occur
+    assert words == len(tables) and set(lengths) == {None, 2, 3}
+
+
 class _CountingRows(dict):
     """A row map that lists the element of every row read, in read order."""
 
@@ -624,8 +651,10 @@ def test_word_idempotence_makes_one_pass_per_word(monkeypatch):
 
     monkeypatch.setattr(properties, "_subset_product", counting)
     # I and not SA: length 1 is settled by I, then one pass over w ++ w per
-    # defined word w of length 2 and 3, in carrier order; an undefined word
-    # cannot violate the law and gets no pass
+    # defined word w of length 2 and 3 that is not constant, in carrier
+    # order.  An undefined word cannot violate the law, and under I a
+    # constant word a...a and its double both have product {a}; neither
+    # gets a pass
     g = builtin("uchain", 4)
     assert check_property(g, P.WORD_IDEMPOTENT, 3).holds
     defined = [
@@ -635,11 +664,23 @@ def test_word_idempotence_makes_one_pass_per_word(monkeypatch):
         if parenthesization_products(g, [{w} for w in word])
     ]
     assert len(defined) == 19
-    assert [tuple(e for (e,) in factors) for _, factors in calls] == [w + w for w in defined]
+    mixed = [w for w in defined if len(set(w)) > 1]
+    assert len(mixed) == 11
+    assert [tuple(e for (e,) in factors) for _, factors in calls] == [w + w for w in mixed]
     # I and SA settle NR at every bound without a pass
     calls.clear()
     assert check_property(builtin("maxnat", 4), P.WORD_IDEMPOTENT, 3).holds
     assert calls == []
+    # on a table defined only on the diagonal every defined word is
+    # constant, so the word scan makes no pass even when it runs: SA holds
+    # there, and a stored failing SA verdict sends NR to the words anyway
+    elements = tuple("abcdef")
+    for sa in (None, PropertyVerdict(P.STRONGLY_ASSOCIATIVE, False, ("a", "a", "b"), "")):
+        g = FiniteGroupoid(elements, {(a, a): a for a in elements})
+        if sa is not None:
+            g._derived[P.STRONGLY_ASSOCIATIVE] = sa
+        assert check_property(g, P.WORD_IDEMPOTENT, 4).holds
+        assert calls == []
 
 
 def test_word_idempotence_universe_mentions_bound(p1):
