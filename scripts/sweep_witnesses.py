@@ -116,7 +116,7 @@ def mismatch(g: FiniteGroupoid, graphs: bool) -> str | None:
         oracle = naive_clique_cover(g)
         if cover != oracle:
             return f"clique cover of {g.elements} {g.table}: {cover}, oracle {oracle}"
-        components = [(c.nodes, c.groupoid.table) for c in connected_components(dg)]
+        components = [(c.nodes, g.restrict(c.nodes).table) for c in connected_components(dg)]
         oracle = naive_components(g)
         if components != oracle:
             return f"components of {g.elements} {g.table}: {components}, oracle {oracle}"

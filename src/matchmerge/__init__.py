@@ -42,7 +42,6 @@ _PUBLIC = {
         "BUDGET_EXHAUSTED", "CLOSED", "BlackBoxGroupoid", "Budget", "ClosureResult",
         "ElementId", "FiniteGroupoid", "Homomorphism", "Verdict", "check_homomorphism",
         "generated_subgroupoid", "image", "irreducible_generating_set", "null_extension",
-        "product_of_subsets", "word_product",
     ),
     "order": (
         "OrderAxiomsReport", "OrderCharacterization", "OrderLawAudit", "OrderRelation",
@@ -55,7 +54,7 @@ _PUBLIC = {
     ),
     "quotient": (
         "CongruenceClasses", "QuotientGroupoid", "class_semigroup_check",
-        "congruence_classes", "mutually_absorbing", "quotient", "quotient_idempotence_check",
+        "congruence_classes", "quotient", "quotient_idempotence_check",
     ),
     "resolution": (
         "ERResult", "er_bruteforce", "er_full", "er_maximal", "merge_closure", "r_swoosh",

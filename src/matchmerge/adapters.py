@@ -298,22 +298,15 @@ def _fixture_maxnat(size: int) -> FiniteGroupoid:
     return FiniteGroupoid(elements, table)
 
 
-def _fixture_chain(size: int) -> FiniteGroupoid:
+def _fixture_chain(size: int, loops: bool = False) -> FiniteGroupoid:
     # a_i composed with a_{i+1} gives a_{i+2}; the truncation leaves
-    # out-of-range compositions undefined instead of wrapping.
+    # out-of-range compositions undefined instead of wrapping.  ``uchain``
+    # adds the loop e e = e on every element.
     elements = tuple(f"a{i}" for i in range(1, size + 1))
-    table = {
-        (f"a{i}", f"a{i + 1}"): f"a{i + 2}" for i in range(1, size - 1)
-    }
+    table = {(x, y): z for x, y, z in zip(elements, elements[1:], elements[2:])}
+    if loops:
+        table.update(((e, e), e) for e in elements)
     return FiniteGroupoid(elements, table)
-
-
-def _fixture_uchain(size: int) -> FiniteGroupoid:
-    g = _fixture_chain(size)
-    table = dict(g.table)
-    for e in g.elements:
-        table[(e, e)] = e
-    return FiniteGroupoid(g.elements, table)
 
 
 def _fixture_twoblock() -> FiniteGroupoid:
@@ -339,7 +332,9 @@ BUILTINS: dict[str, tuple[str, int | None, Callable[..., FiniteGroupoid]]] = {
     "q2": ("three elements failing I, SC, A and R", None, _fixture_q2),
     "maxnat": ("total max on {0..n-1}", 10, _fixture_maxnat),
     "chain": ("successor chain a_i a_{i+1} = a_{i+2}, no loops", 12, _fixture_chain),
-    "uchain": ("successor chain with idempotent loops", 12, _fixture_uchain),
+    "uchain": (
+        "successor chain with idempotent loops", 12, lambda size: _fixture_chain(size, True)
+    ),
     "twoblock": ("two disjoint idempotents", None, _fixture_twoblock),
     "leftzero2": ("two-element left-absorbing band", None, _fixture_leftzero2),
     "unit": ("a single idempotent", None, _fixture_unit),

@@ -24,13 +24,16 @@ class DomainGraph:
 
 @dataclass(frozen=True)
 class Component:
+    """A connected component's nodes, in carrier order; its sub-table is
+    ``g.restrict(nodes)``."""
+
     nodes: tuple[ElementId, ...]
-    groupoid: FiniteGroupoid
 
 
 @dataclass(frozen=True)
 class Clique:
-    """A mutually-composable node set plus the induced sub-table.
+    """A mutually-composable node set, in carrier order, with its totality
+    and leaks; its sub-table is ``g.restrict(nodes)``.
 
     ``is_total``: every ordered pair inside (loops included) is defined and
     no composition leaks outside.  ``leaks`` lists defined internal pairs
@@ -39,7 +42,6 @@ class Clique:
     """
 
     nodes: tuple[ElementId, ...]
-    groupoid: FiniteGroupoid
     is_total: bool
     leaks: tuple[Pair, ...]
 
@@ -60,8 +62,7 @@ def domain_graph(g: FiniteGroupoid) -> DomainGraph:
 def connected_components(dg: DomainGraph) -> list[Component]:
     """Components of the symmetric view, in carrier order of their first node.
 
-    One pass over the table files each composition into its component's
-    sub-table when its value stays inside.
+    Union-find over the edges groups the nodes; no sub-table is built.
     """
     parent = {n: n for n in dg.nodes}
 
@@ -76,19 +77,10 @@ def connected_components(dg: DomainGraph) -> list[Component]:
         if rp != rq:
             parent[rq] = rp
 
-    root_of = {n: find(n) for n in dg.nodes}
     groups: dict[ElementId, list[ElementId]] = {}
     for n in dg.nodes:
-        groups.setdefault(root_of[n], []).append(n)
-    tables: dict[ElementId, dict[Pair, ElementId]] = {root: {} for root in groups}
-    for (x, y), v in dg.groupoid.table.items():
-        root = root_of[x]
-        if root_of[v] == root:
-            tables[root][(x, y)] = v
-    return [
-        Component(tuple(nodes), FiniteGroupoid(nodes, tables[root]))
-        for root, nodes in groups.items()
-    ]
+        groups.setdefault(find(n), []).append(n)
+    return [Component(tuple(nodes)) for nodes in groups.values()]
 
 
 @dataclass(frozen=True)
@@ -133,17 +125,16 @@ def _grow_clique(index: dict, neighbours: dict, start: list) -> tuple[ElementId,
 
 def _build_clique(g: FiniteGroupoid, nodes: tuple[ElementId, ...]) -> Clique:
     inside = set(nodes)
-    table = {}
+    internal = 0
     leaks = []
     for x in nodes:
         for y in nodes:
             v = g.table.get((x, y))
             if v in inside:
-                table[(x, y)] = v
+                internal += 1
             elif v is not None:
                 leaks.append((x, y))
-    total = len(table) == len(nodes) ** 2
-    return Clique(nodes, FiniteGroupoid(nodes, table), total, tuple(leaks))
+    return Clique(nodes, internal == len(nodes) ** 2, tuple(leaks))
 
 
 def clique_cover(dg: DomainGraph) -> CliqueCover:

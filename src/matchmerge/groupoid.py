@@ -74,10 +74,10 @@ class FiniteGroupoid:
     # pass over the table sorted in carrier order of the pair, so each line
     # is in carrier order too.  Made on the first request of a row, a column
     # or a closure over the table, and kept for the table's life, which is
-    # valid only because ``table`` never changes.  ``defined_pairs``, NR and
-    # the A/CA/SA scan read the rows (the scan walks each defined chain
-    # through two of them), and the Rl/Rr/R scan builds the operand sets of
-    # rows and columns from them.
+    # valid only because ``table`` never changes.  ``defined_pairs``,
+    # ``restrict``, NR and the A/CA/SA scan read the rows (the scan walks
+    # each defined chain through two of them), and the Rl/Rr/R scan builds
+    # the operand sets of rows and columns from them.
     @cached_property
     def _filing(self) -> tuple[dict[ElementId, Line], dict[ElementId, Line]]:
         rows: dict[ElementId, Line] = {e: [] for e in self.elements}
@@ -173,14 +173,14 @@ class FiniteGroupoid:
 
     def restrict(self, subset: Iterable[ElementId]) -> FiniteGroupoid:
         """Partial subgroupoid on ``subset``: compositions whose operands and
-        value all stay inside.  Carrier order follows ``subset``'s order."""
+        value all stay inside.  Carrier order follows ``subset``'s order.
+
+        Reads only the filed rows of the kept elements, so once the table
+        is filed a restriction costs the entries of those rows."""
         kept = self.require_all(subset)
         inside = set(kept)
-        table = {
-            (x, y): v
-            for (x, y), v in self.table.items()
-            if x in inside and y in inside and v in inside
-        }
+        rows = self._rows
+        table = {(x, y): v for x in kept for y, v in rows[x] if y in inside and v in inside}
         return FiniteGroupoid(kept, table)
 
 
@@ -457,27 +457,6 @@ def _subset_product(
                             acc.add(v)
             rows[i].append(acc)
     return rows[0][-1]
-
-
-def product_of_subsets(
-    groupoid: FiniteGroupoid, factors: Sequence[Iterable[ElementId]]
-) -> frozenset[ElementId]:
-    """Set product of carrier subsets under all binary groupings.
-
-    Every factor is checked against the carrier first; zero factors raise
-    ``ValueError``.  The empty set plays the role of a fully undefined
-    product; definedness of an expression is exactly non-emptiness of its
-    product.
-    """
-    spans = [frozenset(groupoid.require_all(s)) for s in factors]
-    if not spans:
-        raise ValueError("product needs at least one factor")
-    return frozenset(_subset_product(groupoid, spans))
-
-
-def word_product(groupoid: FiniteGroupoid, word: Sequence[ElementId]) -> frozenset[ElementId]:
-    """Product of a word of single elements (each factor a singleton)."""
-    return product_of_subsets(groupoid, [{w} for w in word])
 
 
 def irreducible_generating_set(

@@ -52,12 +52,6 @@ def _sandwich(table, p: ElementId, q: ElementId) -> set[ElementId]:
     return {v for v in groupings if v is not None}
 
 
-def mutually_absorbing(g: FiniteGroupoid, p: ElementId, q: ElementId) -> bool:
-    """p q p collapses to exactly {p} and q p q to exactly {q}."""
-    g.require_all((p, q))
-    return _sandwich(g.table, p, q) == {p} and _sandwich(g.table, q, p) == {q}
-
-
 def congruence_classes(
     g: FiniteGroupoid, nr_word_bound: int = DEFAULT_WORD_BOUND
 ) -> CongruenceClasses:

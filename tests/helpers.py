@@ -59,15 +59,21 @@ def parenthesization_products(g: FiniteGroupoid, factors) -> frozenset:
     return frozenset(out)
 
 
+def word_products(g: FiniteGroupoid, word) -> frozenset:
+    """Oracle for the product of a word of single elements, from
+    ``parenthesization_products``."""
+    return parenthesization_products(g, [{w} for w in word])
+
+
 def first_nr_violation(g: FiniteGroupoid, bound: int):
     """Oracle for NR: the first word, by length and then in carrier order,
     of length at most ``bound`` whose product is non-empty and differs from
     the product of the word written twice; None when every word passes.
-    Both products come from ``parenthesization_products``."""
+    Both products come from ``word_products``."""
     for k in range(1, bound + 1):
         for word in cartesian(g.elements, repeat=k):
-            once = parenthesization_products(g, [{w} for w in word])
-            if once and parenthesization_products(g, [{w} for w in word * 2]) != once:
+            once = word_products(g, word)
+            if once and word_products(g, word * 2) != once:
                 return word
     return None
 
@@ -321,24 +327,24 @@ def naive_clique_cover(g: FiniteGroupoid) -> list:
 # -- mutual-absorption oracle --------------------------------------------------
 
 
+def mutually_absorbing(g: FiniteGroupoid, p, q) -> bool:
+    """Oracle for mutual absorption: the products of the words p q p and
+    q p q, from ``word_products``, are {p} and {q}."""
+    return word_products(g, (p, q, p)) == {p} and word_products(g, (q, p, q)) == {q}
+
+
 def absorption_oracle(g: FiniteGroupoid):
     """Oracle for ``congruence_classes`` once NR holds: ``("classes",
     classes)``, or the first failing law and its witness.
 
-    p and q absorb each other when the products of the words p q p and
-    q p q, taken from ``parenthesization_products``, are {p} and {q}.
+    p and q are related when ``mutually_absorbing`` holds.
     Reflexivity is checked in carrier order, transitivity over every triple
     in carrier order, and compatibility over every pair of related pairs in
     sorted id order.  Classes are seeded at each element not yet placed, in
     carrier order.
     """
     el, t = g.elements, g.table
-    related = {
-        (p, q)
-        for p, q in cartesian(el, repeat=2)
-        if parenthesization_products(g, [{p}, {q}, {p}]) == {p}
-        and parenthesization_products(g, [{q}, {p}, {q}]) == {q}
-    }
+    related = {(p, q) for p, q in cartesian(el, repeat=2) if mutually_absorbing(g, p, q)}
     for p in el:
         if (p, p) not in related:
             return ("reflexivity", (p,))

@@ -16,6 +16,7 @@ from matchmerge import (
     null_extension,
     to_dot,
 )
+from matchmerge import cli
 from conftest import finite_fixture_suite
 from helpers import (
     naive_clique_cover,
@@ -102,7 +103,7 @@ def test_components_partition_and_never_compose_across():
 
 def test_component_subgroupoids_keep_internal_table(twoblock):
     components = connected_components(domain_graph(twoblock))
-    assert components[0].groupoid.table == {("u", "u"): "u"}
+    assert twoblock.restrict(components[0].nodes).table == {("u", "u"): "u"}
 
 
 # -- totality ------------------------------------------------------------------------
@@ -237,12 +238,15 @@ def test_cover_matches_the_naive_greedy_oracle():
         cover = clique_cover(domain_graph(g))
         assert [(c.nodes, c.is_total, c.leaks) for c in cover.cliques] == naive_clique_cover(g)
         for c in cover.cliques:
-            assert c.groupoid == g.restrict(c.nodes)
+            # total exactly when the sub-table is full; a leak is a defined
+            # internal pair the sub-table drops
+            sub = g.restrict(c.nodes).table
+            assert c.is_total == (len(sub) == len(c.nodes) ** 2)
+            assert set(c.leaks) == {
+                (x, y) for x in c.nodes for y in c.nodes if (x, y) in g.table
+            } - set(sub)
         components = connected_components(domain_graph(g))
-        expected = naive_components(g)
-        assert [(c.nodes, c.groupoid.table) for c in components] == expected
-        for c in components:
-            assert c.groupoid == g.restrict(c.nodes)
+        assert [(c.nodes, g.restrict(c.nodes).table) for c in components] == naive_components(g)
         component_of = {n: c.nodes for c in components for n in c.nodes}
         escapes += any(component_of[v] != component_of[x] for (x, _), v in g.table.items())
     # some entry's value lies in another component, so its drop is exercised
@@ -267,7 +271,7 @@ def test_cover_and_components_match_the_oracles_on_larger_tables():
         cover = clique_cover(dg)
         assert [(c.nodes, c.is_total, c.leaks) for c in cover.cliques] == naive_clique_cover(g)
         components = connected_components(dg)
-        assert [(c.nodes, c.groupoid.table) for c in components] == naive_components(g)
+        assert [(c.nodes, g.restrict(c.nodes).table) for c in components] == naive_components(g)
         largest = max(largest, *(len(c.nodes) for c in cover.cliques))
     assert largest >= 4
 
@@ -324,6 +328,22 @@ def test_components_and_covers_never_call_restrict(monkeypatch):
         dg = domain_graph(g)
         connected_components(dg)
         clique_cover(dg)
+
+
+def test_graph_views_build_no_table(monkeypatch):
+    # the CLI's graph command reads nodes, totality and leaks: the input is
+    # the only table it builds
+    built = []
+    original = FiniteGroupoid.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(FiniteGroupoid, "__post_init__", counting)
+    argv = ["graph", "uchain:48", "--components", "--clique-cover", "--format", "machine"]
+    assert cli.run(argv) == 0
+    assert len(built) == 1 and len(built[0]) == 48
 
 
 # -- dot rendering -------------------------------------------------------------------------

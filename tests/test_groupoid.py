@@ -20,14 +20,15 @@ from matchmerge import (
     image,
     irreducible_generating_set,
     null_extension,
-    product_of_subsets,
     property_report,
 )
+from matchmerge.groupoid import _subset_product
 from helpers import (
     brute_force_generates,
     naive_merge_closure,
     parenthesization_products,
     random_groupoid,
+    successor_chain,
 )
 import random
 from itertools import chain, combinations
@@ -126,6 +127,87 @@ def test_every_row_and_column_costs_its_entries_not_the_carrier():
     assert columns == {y: [(x, g.table[x, y]) for x in e if (x, y) in g.table] for y in e}
 
 
+def test_restrict_matches_a_comprehension_over_the_table():
+    # seeded sparse tables and successor chains on shuffled carriers, each
+    # restricted to subsets given in random order: the result's carrier
+    # follows the subset, and its table holds the entries whose operands
+    # and value all lie inside
+    rng = random.Random(27)
+    tables = [successor_chain(rng, rng.randint(5, 30), loops=i % 2 == 0) for i in range(6)]
+    for _ in range(150):
+        size = rng.randint(1, 12)
+        g = random_groupoid(rng, size, rng.uniform(0.05, 0.5), idempotent=rng.random() < 0.5)
+        tables.append(FiniteGroupoid(tuple(rng.sample(g.elements, size)), g.table))
+    unordered = dropped = 0
+    for g in tables:
+        for _ in range(4):
+            subset = rng.sample(g.elements, rng.randint(1, len(g)))
+            inside = set(subset)
+            sub = g.restrict(subset)
+            assert sub.elements == tuple(subset)
+            assert sub.table == {
+                (x, y): v for (x, y), v in g.table.items() if {x, y, v} <= inside
+            }
+            unordered += subset != sorted(subset, key=g.elements.index)
+            dropped += any(
+                x in inside and y in inside and v not in inside for (x, y), v in g.table.items()
+            )
+    # most subsets are out of carrier order, and some drop an entry whose
+    # value escapes
+    assert unordered > 0 and dropped > 0
+
+
+def test_restrict_refuses_foreign_duplicate_and_empty_subsets(p1):
+    with pytest.raises(ForeignElementError):
+        p1.restrict(["a", "zz"])
+    with pytest.raises(ValueError, match="duplicate element"):
+        p1.restrict(["a", "b", "a"])
+    with pytest.raises(ValueError, match="non-empty"):
+        p1.restrict([])
+
+
+class _CountingRows(dict):
+    """A table's filed rows that log each row handed out, and ``"walk"``
+    for any pass over all of them."""
+
+    def __init__(self, rows, log):
+        super().__init__(rows)
+        self.log = log
+
+    def __getitem__(self, x):
+        self.log.append(x)
+        return dict.__getitem__(self, x)
+
+    def __iter__(self):
+        self.log.append("walk")
+        return dict.__iter__(self)
+
+    def items(self):
+        self.log.append("walk")
+        return dict.items(self)
+
+    def values(self):
+        self.log.append("walk")
+        return dict.values(self)
+
+
+def test_a_restriction_reads_only_its_rows_once_the_table_is_filed():
+    g = builtin("uchain", 48)
+    log = []
+    object.__setattr__(g, "table", _CountingTable(g.table, log))
+    rows, columns = g._filing
+    log.clear()
+    vars(g)["_filing"] = (_CountingRows(rows, log), columns)
+    kept = ("a30", "a7", "a8", "a9")
+    sub = g.restrict(kept)
+    # the k kept rows, in the subset's order, and no entry of the table
+    assert log == list(kept)
+    assert sub.table == {
+        ("a30", "a30"): "a30", ("a7", "a7"): "a7", ("a7", "a8"): "a9",
+        ("a8", "a8"): "a8", ("a9", "a9"): "a9",
+    }
+
+
 def test_a_report_and_a_closure_on_one_table_file_it_once(monkeypatch):
     filed = []
     original = FiniteGroupoid._filing.func
@@ -141,24 +223,19 @@ def test_a_report_and_a_closure_on_one_table_file_it_once(monkeypatch):
 
 
 def test_product_p1_three_singletons(p1):
-    assert product_of_subsets(p1, [{"a"}, {"b"}, {"c"}]) == {"c"}
+    assert _subset_product(p1, [{"a"}, {"b"}, {"c"}]) == {"c"}
 
 
 def test_product_single_factor_is_identity(p1):
-    assert product_of_subsets(p1, [{"b"}]) == {"b"}
+    assert _subset_product(p1, [{"b"}]) == {"b"}
 
 
 def test_product_q2_collects_both_groupings(q2):
-    assert product_of_subsets(q2, [{"a"}, {"b"}, {"c"}]) == {"b", "c"}
+    assert _subset_product(q2, [{"a"}, {"b"}, {"c"}]) == {"b", "c"}
 
 
 def test_product_empty_when_all_groupings_undefined(p1):
-    assert product_of_subsets(p1, [{"c"}, {"a"}]) == frozenset()
-
-
-def test_product_rejects_empty_factor_list(p1):
-    with pytest.raises(ValueError):
-        product_of_subsets(p1, [])
+    assert _subset_product(p1, [{"c"}, {"a"}]) == frozenset()
 
 
 def test_product_matches_grouping_tree_oracle_on_fixtures(p1, q2):
@@ -169,7 +246,7 @@ def test_product_matches_grouping_tree_oracle_on_fixtures(p1, q2):
             [{"a"}, {"b"}, {"c"}, {"a"}],
             [{"a", "c"}, {"b", "c"}],
         ):
-            assert product_of_subsets(g, factors) == parenthesization_products(g, factors)
+            assert _subset_product(g, factors) == parenthesization_products(g, factors)
 
 
 @given(groupoids(), st.integers(0, 10**6))
@@ -179,14 +256,14 @@ def test_product_matches_grouping_tree_oracle_random(g, seed):
     factors = [
         {rng.choice(g.elements) for _ in range(rng.randint(1, 2))} for _ in range(n)
     ]
-    assert product_of_subsets(g, factors) == parenthesization_products(g, factors)
+    assert _subset_product(g, factors) == parenthesization_products(g, factors)
 
 
 @given(groupoids())
 def test_product_of_two_singletons_agrees_with_compose(g):
     for x in g.elements:
         for y in g.elements:
-            got = product_of_subsets(g, [{x}, {y}])
+            got = _subset_product(g, [{x}, {y}])
             composed = g.compose(x, y)
             assert got == (frozenset({composed}) if composed is not None else frozenset())
 

@@ -19,8 +19,8 @@ from matchmerge import (
     implication_audit,
     property_report,
     quotient,
-    word_product,
 )
+from matchmerge.groupoid import _subset_product
 from conftest import chaining_records, finite_fixture_suite, materialized_records
 from helpers import (
     first_nr_violation,
@@ -30,6 +30,7 @@ from helpers import (
     random_groupoid,
     random_sparse_shaped,
     successor_chain,
+    word_products,
 )
 
 P = Property
@@ -174,8 +175,8 @@ def replay(g: FiniteGroupoid, verdict) -> bool:
             left is not None and left != right
         )
     if p is P.WORD_IDEMPOTENT:
-        once = word_product(g, w)
-        return bool(once) and word_product(g, w + w) != once
+        once = word_products(g, w)
+        return bool(once) and word_products(g, w + w) != once
     raise AssertionError(p)
 
 
@@ -500,7 +501,7 @@ def test_word_idempotence_on_every_idempotent_three_element_table():
         assert check_property(g, P.WORD_IDEMPOTENT, 3).holds
         # the interval pass gives each word the values of all its groupings
         for word in itertools.product(g.elements, repeat=3):
-            assert word_product(g, word) == parenthesization_products(g, [{w} for w in word])
+            assert _subset_product(g, [{w} for w in word]) == word_products(g, word)
 
 
 def test_word_idempotence_on_a_sample_of_idempotent_three_element_tables_at_bound_three():
@@ -635,8 +636,7 @@ def test_word_idempotence_needs_strong_associativity_not_associativity():
     _assert_nr_matches_oracle(g, 3)
     assert check_property(g, P.WORD_IDEMPOTENT, 3).witness == ("a", "d", "b")
     # d (c a) = d b = c although d c is undefined: not a left fold
-    assert word_product(g, ("d", "c", "a")) == parenthesization_products(g, [{"d"}, {"c"}, {"a"}])
-    assert word_product(g, ("d", "c", "a")) == {"c"}
+    assert _subset_product(g, [{"d"}, {"c"}, {"a"}]) == word_products(g, ("d", "c", "a")) == {"c"}
 
 
 def test_word_idempotence_makes_one_pass_per_word(monkeypatch):

@@ -17,7 +17,6 @@ from matchmerge import (
     check_property,
     class_semigroup_check,
     congruence_classes,
-    mutually_absorbing,
     quotient,
     quotient_idempotence_check,
 )
@@ -25,9 +24,11 @@ from conftest import cluster_records, finite_fixture_suite, materialized_records
 from helpers import (
     absorption_oracle,
     idempotent_tables,
+    mutually_absorbing,
     parenthesization_products,
     random_banded_groupoid,
     random_groupoid,
+    word_products,
 )
 from matchmerge.cli import run
 from matchmerge.documents import groupoid_to_document
@@ -381,11 +382,9 @@ def test_class_check_reports_association_before_an_earlier_collapse():
 
 def test_class_words_collapse_to_endpoints(leftzero2):
     # inside a class every bounded word equals first-composed-with-last
-    from matchmerge import word_product
-
     for word in (("p", "q", "p"), ("q", "p", "q"), ("p", "q", "q")):
         expected = leftzero2.table[(word[0], word[-1])]
-        assert word_product(leftzero2, word) == {expected}
+        assert word_products(leftzero2, word) == {expected}
 
 
 # -- stored quotients ----------------------------------------------------------------------
