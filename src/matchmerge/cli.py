@@ -393,8 +393,8 @@ def _cmd_quotient(args):
     for cls, rep, check in zip(q.classes.classes, q.classes.representatives, class_checks):
         lines.append(f"  {_bracketed(cls)} -> {rep} (semigroup: {_yesno(check.holds)})")
     lines.append(f"stable under re-quotient: {_yesno(stable.holds)}")
-    lines.append("quotient groupoid document:")
-    lines.append(json.dumps(doc, indent=2))
+    if args.format == "text":  # machine output drops the lines; this one is a pure-Python encode
+        lines += ["quotient groupoid document:", json.dumps(doc, indent=2)]
     return 0, payload, lines
 
 
@@ -426,7 +426,8 @@ def _cmd_order(args):
         audit = order_law_audit(rel)
         maximal = maximal_elements(g, variant)
         lines.append(f"natural {variant.value}: {len(ordered)} pairs")
-        lines.extend(f"  {p} <= {q}" for p, q in ordered)
+        if args.format == "text":  # machine output drops the lines, one per pair here
+            lines.extend(f"  {p} <= {q}" for p, q in ordered)
         laws = [
             (name, getattr(audit, name)) for name in ("reflexive", "antisymmetric", "transitive")
         ]
@@ -595,8 +596,74 @@ def _at_least_one(quantity: str):
     return parse
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each subcommand's parser by name."""
+class _Subcommand:
+    """A subcommand's parser, and the actions it declares, read without it.
+
+    ``read`` turns a canonical argv into the namespace the parser would
+    build.  Canonical means that each token is an exact option string
+    followed by one value that does not start with ``-``, an exact
+    ``store_true`` flag, or a positional that does not start with ``-``;
+    that the positionals are exactly those declared; and that every value
+    passes its action's ``type`` and ``choices``.  The last repeat of an
+    option wins, as in argparse.  Defaults are taken as declared: argparse
+    would pass a string default through ``type``, and no typed option here
+    has one (``test_parse_matches_the_top_level_parser`` would catch the
+    first that does).
+    """
+
+    def __init__(self, parser: argparse.ArgumentParser, func, shared=()):
+        parser.set_defaults(func=func)
+        self.parser = parser
+        self.options, self.positionals, self.defaults = {}, [], {"func": func}
+        for action in shared:  # the actions ``parser`` takes from its parents
+            self._record(action)
+
+    def add_argument(self, *args, **kwargs) -> argparse.Action:
+        """``parser.add_argument``, keeping the action for ``read``."""
+        action = self.parser.add_argument(*args, **kwargs)
+        self._record(action)
+        return action
+
+    def _record(self, action: argparse.Action) -> None:
+        self.options.update(dict.fromkeys(action.option_strings, action))
+        if not action.option_strings:
+            self.positionals.append(action)
+        self.defaults[action.dest] = action.default
+
+    def read(self, tokens: list[str]) -> argparse.Namespace | None:
+        """The namespace of ``tokens``, or None if they are not canonical."""
+        values = dict(self.defaults)
+        positionals = iter(self.positionals)
+        tokens = iter(tokens)
+        for token in tokens:
+            if token.startswith("-"):
+                action = self.options.get(token)
+                if action is None:
+                    return None
+                if action.nargs == 0:  # a store_true flag
+                    values[action.dest] = action.const
+                    continue
+                token = next(tokens, None)
+                if token is None or token.startswith("-"):
+                    return None
+            else:
+                action = next(positionals, None)
+                if action is None:
+                    return None
+            try:
+                value = token if action.type is None else action.type(token)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        if next(positionals, None) is not None:
+            return None
+        return argparse.Namespace(**values)
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Subcommand]]:
+    """The top-level parser, and each subcommand by name."""
     parser = argparse.ArgumentParser(
         prog="matchmerge",
         description="Audit match/merge systems modeled as partial groupoids.",
@@ -605,67 +672,75 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     budget = _at_least_one("budget")
     word_bound = _at_least_one("word bound")
 
+    # a parent's actions are shared, not copied, by the parsers built from it
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("input", help="groupoid/records document path or builtin fixture name")
-    common.add_argument("--format", choices=("text", "machine"), default="text")
-    common.add_argument("--budget-elements", type=budget, default=Budget().max_elements)
-    common.add_argument("--budget-rounds", type=budget, default=Budget().max_rounds)
+    shared = (
+        common.add_argument("input", help="groupoid/records document path or builtin fixture name"),
+        common.add_argument("--format", choices=("text", "machine"), default="text"),
+        common.add_argument("--budget-elements", type=budget, default=Budget().max_elements),
+        common.add_argument("--budget-rounds", type=budget, default=Budget().max_rounds),
+    )
+    commands = {}
 
-    p = sub.add_parser("check", parents=[common], help="property report and implication audit")
+    def command(name: str, func, help: str, shared=shared) -> _Subcommand:
+        p = sub.add_parser(name, parents=[common] if shared else [], help=help)
+        commands[name] = _Subcommand(p, func, shared)
+        return commands[name]
+
+    p = command("check", _cmd_check, "property report and implication audit")
     p.add_argument("--nr-bound", type=word_bound, default=3)
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("closure", parents=[common], help="merge closure of an instance")
+    p = command("closure", _cmd_closure, "merge closure of an instance")
     p.add_argument("--instance", help="comma-separated ids, or an instance document path")
-    p.set_defaults(func=_cmd_closure)
 
-    p = sub.add_parser("er", parents=[common], help="entity resolution of an instance")
+    p = command("er", _cmd_er, "entity resolution of an instance")
     p.add_argument("--instance", help="comma-separated ids, or an instance document path")
     p.add_argument(
         "--method",
         choices=("auto", "bruteforce", "full", "maximal", "rswoosh"),
         default="auto",
     )
-    p.set_defaults(func=_cmd_er)
 
-    p = sub.add_parser("graph", parents=[common], help="domain graph views")
+    p = command("graph", _cmd_graph, "domain graph views")
     p.add_argument("--dot", help="write a dot rendering to this path")
     p.add_argument("--components", action="store_true")
     p.add_argument("--clique-cover", action="store_true")
-    p.set_defaults(func=_cmd_graph)
 
-    p = sub.add_parser("quotient", parents=[common], help="mutual-absorption quotient")
+    p = command("quotient", _cmd_quotient, "mutual-absorption quotient")
     p.add_argument("--nr-bound", type=word_bound, default=3)
-    p.set_defaults(func=_cmd_quotient)
 
-    p = sub.add_parser("order", parents=[common], help="natural orders, audits, maximal and full sets")
+    p = command("order", _cmd_order, "natural orders, audits, maximal and full sets")
     p.add_argument("--variant", choices=("left", "right", "both", "all"), default="all")
-    p.set_defaults(func=_cmd_order)
 
-    p = sub.add_parser("fixtures", help="list builtin fixtures")
+    p = command("fixtures", _cmd_fixtures, "list builtin fixtures", shared=())
     p.add_argument("--format", choices=("text", "machine"), default="text")
-    p.set_defaults(func=_cmd_fixtures)
 
-    return parser, sub.choices
+    return parser, commands
 
 
-_PARSER, _SUBPARSERS = _build_parser()
+_PARSER, _SUBCOMMANDS = _build_parser()
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """``_PARSER.parse_args(argv)``, with the same namespace and messages.
 
     When ``argv`` starts with a subcommand, the top-level parser would only
-    hand the rest to that subcommand's parser, so this calls it directly.
-    Anything else (no arguments, ``-h``, an unknown command) goes to the
-    top-level parser, which alone prints the top-level usage.
+    hand the rest to that subcommand's parser.  A canonical rest (see
+    ``_Subcommand``) is read straight off the subcommand's declared actions;
+    any other spelling goes to the subcommand's parser, and an argument it
+    leaves over to the top-level parser, so help, usage and error messages
+    come from argparse alone.  Anything else (no arguments, ``-h``, an
+    unknown command) goes to the top-level parser, which alone prints the
+    top-level usage.
     """
-    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    sub = _SUBCOMMANDS.get(argv[0]) if argv else None
     if sub is None:
         return _PARSER.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
-        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = sub.read(argv[1:])
+    if args is None:
+        args, extras = sub.parser.parse_known_args(argv[1:])
+        if extras:
+            _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
     args.command = argv[0]
     return args
 

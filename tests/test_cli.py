@@ -792,8 +792,71 @@ def _argv_corpus():
         ["graph", "p1", "--comp", "--cl"], ["graph", "p1", "--c"], ["er", "p1", "--m", "auto"],
         ["closure", "p1", "--instance", "-x"], ["closure", "p1", "--instance=-x"],
         ["check", "p1", "q2"], ["check", "-5"], ["check", "p1", "-f"],
+        # the argv shapes the benchmark runs
+        ["graph", "p1", "--components", "--clique-cover", "--format", "machine"],
+        ["closure", "p1", "--instance", "a1,a2", "--format", "machine"],
+        ["er", "p1", "--method", "full", "--format", "machine"],
+        # the last repeat wins, and a flag may repeat
+        ["check", "p1", "--nr-bound", "2", "--nr-bound", "5"],
+        ["er", "p1", "--method", "full", "--instance", "a", "--method", "maximal", "--instance", "b"],
+        ["graph", "p1", "--components", "--clique-cover", "--components"],
+        # empty, dash-led and padded values
+        ["check", ""], ["closure", "p1", "--instance", ""], ["closure", "p1", "--instance", "--format"],
+        ["check", "p1", "--budget-elements", "-3"], ["check", "p1", "--nr-bound", " 2"],
+        ["fixtures", "--format", "machine", "extra"],
     ]
+    # every option of a subcommand at once, in two orders
+    for command, options in _OPTIONS.items():
+        given = [
+            [option] if value is None else [option, value]
+            for option, value in {**_COMMON, **options}.items()
+        ]
+        corpus += [[command, "p1", *sum(given, [])], [command, *sum(given[::-1], []), "p1"]]
     return corpus
+
+
+# one canonical argv per subcommand, and every argv shape bench/workloads.py runs
+_CANONICAL = [
+    ["check", "fixtures/p1", "--nr-bound", "3", "--format", "machine"],
+    ["quotient", "fixtures/leftzero2", "--nr-bound", "3", "--format", "machine"],
+    ["order", "fixtures/p1", "--format", "machine"],
+    ["graph", "fixtures/max10", "--components", "--clique-cover", "--format", "machine"],
+    ["closure", "fixtures/chain12", "--instance", "a1,a2", "--format", "machine"],
+    ["closure", "fixtures/records", "--format", "machine"],
+    ["er", "fixtures/records", "--method", "full", "--format", "machine"],
+    ["er", "fixtures/p1", "--instance", "a,b", "--budget-elements", "50", "--budget-rounds", "9"],
+    ["fixtures", "--format", "machine"],
+    ["fixtures"],
+]
+
+
+def test_canonical_argv_skips_argparse(capsys, monkeypatch):
+    import argparse
+
+    calls = []
+    for name in ("parse_known_args", "parse_args"):
+        method = getattr(argparse.ArgumentParser, name)
+
+        def counting(self, *args, _method=method, **kwargs):
+            calls.append(args)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, name, counting)
+    for argv in _CANONICAL:
+        assert run(list(argv)) in (0, 1), argv
+        assert calls == [], argv
+    capsys.readouterr()
+    # any other spelling is argparse's to read
+    for argv in (
+        ["fixtures", "--format=machine"],
+        ["check", "fixtures/p1", "--form", "machine"],
+        ["check", "-h"],
+        ["check", "fixtures/p1", "--nr-bound", "0"],
+    ):
+        calls.clear()
+        run(list(argv))
+        assert calls, argv
+    capsys.readouterr()
 
 
 def test_parse_matches_the_top_level_parser(capsys, monkeypatch):
