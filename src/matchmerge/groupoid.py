@@ -29,7 +29,7 @@ from .errors import (
 
 ElementId = str
 Pair = tuple[ElementId, ElementId]
-Line = list[tuple[ElementId, ElementId]]  # a row's (y, x o y) or a column's (x, x o y)
+Line = dict[ElementId, ElementId]  # a row's y -> x o y, or a column's x -> x o y
 
 CLOSED = "closed"
 BUDGET_EXHAUSTED = "budget_exhausted"
@@ -69,30 +69,31 @@ class FiniteGroupoid:
     _derived: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    # The defined entries filed by operand, ``x -> [(y, x o y)]`` by row and
-    # ``y -> [(x, x o y)]`` by column, with every carrier element keyed: one
-    # pass over the table sorted in carrier order of the pair, so each line
-    # is in carrier order too.  Made on the first request of a row, a column
-    # or a closure over the table, and kept for the table's life, which is
-    # valid only because ``table`` never changes.  ``defined_pairs``,
-    # ``restrict``, NR and the A/CA/SA scan read the rows (the scan walks
-    # each defined chain through two of them), and the Rl/Rr/R scan builds
-    # the operand sets of rows and columns from them.
+    # The defined entries filed by operand, ``rows[x] = {y: x o y}`` and
+    # ``columns[y] = {x: x o y}``, with every carrier element keyed and each
+    # line in carrier order: the entries are bucketed by column, the buckets
+    # walked in carrier order to fill the rows, and the rows walked in
+    # carrier order to fill the columns, so no pass sorts.  Made on the
+    # first request of a line or a closure over the table, and kept for the
+    # table's life, which is valid only because ``table`` never changes.
     @cached_property
     def _filing(self) -> tuple[dict[ElementId, Line], dict[ElementId, Line]]:
-        rows: dict[ElementId, Line] = {e: [] for e in self.elements}
-        columns: dict[ElementId, Line] = {e: [] for e in self.elements}
-        position, n = self._position, len(self.elements)
-        # (x, y) sorts at position[x] * n + position[y], its carrier order
-        entries = sorted(
-            self.table.items(), key=lambda e: position[e[0][0]] * n + position[e[0][1]]
-        )
-        for (x, y), xy in entries:
-            rows[x].append((y, xy))
-            columns[y].append((x, xy))
+        elements = self.elements
+        buckets: dict[ElementId, list] = {e: [] for e in elements}  # y -> [(x, x o y)]
+        for (x, y), xy in self.table.items():
+            buckets[y].append((x, xy))
+        rows: dict[ElementId, Line] = {e: {} for e in elements}
+        for y, bucket in buckets.items():
+            for x, xy in bucket:
+                rows[x][y] = xy
+        columns: dict[ElementId, Line] = {e: {} for e in elements}
+        for x, row in rows.items():
+            for y, xy in row.items():
+                columns[y][x] = xy
         return rows, columns
 
     _rows = property(lambda self: self._filing[0])
+    _columns = property(lambda self: self._filing[1])
 
     def __post_init__(self):
         elements = tuple(self.elements)
@@ -169,7 +170,7 @@ class FiniteGroupoid:
 
     def defined_pairs(self) -> Iterator[Pair]:
         """The composition domain, enumerated in carrier order."""
-        return ((x, y) for x, row in self._rows.items() for y, _ in row)
+        return ((x, y) for x, row in self._rows.items() for y in row)
 
     def restrict(self, subset: Iterable[ElementId]) -> FiniteGroupoid:
         """Partial subgroupoid on ``subset``: compositions whose operands and
@@ -180,7 +181,7 @@ class FiniteGroupoid:
         kept = self.require_all(subset)
         inside = set(kept)
         rows = self._rows
-        table = {(x, y): v for x in kept for y, v in rows[x] if y in inside and v in inside}
+        table = {(x, y): v for x in kept for y, v in rows[x].items() if y in inside and v in inside}
         return FiniteGroupoid(kept, table)
 
 
@@ -334,8 +335,8 @@ def _table_compositions(g: FiniteGroupoid, items):
     at carrier position ``start`` or later, ascending by the pair's
     positions.
 
-    Those pairs are the rows of the new elements, and their columns
-    restricted to older elements, read off the table's filing, and sorted
+    Those pairs are the keys of the new elements' rows, and of their
+    columns restricted to older elements, from the table's filing, sorted
     here by closure position, which need not be carrier order.  Each value
     is read through ``g.table.get``, so a table that counts its lookups
     counts every composition.
@@ -351,11 +352,11 @@ def _table_compositions(g: FiniteGroupoid, items):
         pairs = []  # i * n + j for the pair at closure positions (i, j)
         for i in range(start, n):
             e = ids[i]
-            for y, _ in rows[e]:
+            for y in rows[e]:
                 j = position.get(y)
                 if j is not None:
                     pairs.append(i * n + j)
-            for x, _ in columns[e]:
+            for x in columns[e]:
                 h = position.get(x)
                 if h is not None and h < start:
                     pairs.append(h * n + i)

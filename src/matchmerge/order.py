@@ -230,34 +230,32 @@ def check_order_axioms(g: FiniteGroupoid, rel: OrderRelation) -> OrderAxiomsRepo
     g.require_all(rel.carrier)
 
     def lub() -> Verdict:
-        for p1, p2 in g.defined_pairs():
-            c = g.table[(p1, p2)]
-            if (p1, c) not in rel.pairs or (p2, c) not in rel.pairs:
-                return Verdict(False, (p1, p2), "composition is not an upper bound")
-            for x in g.elements:
-                if (p1, x) in rel.pairs and (p2, x) in rel.pairs and (c, x) not in rel.pairs:
-                    return Verdict(False, (p1, p2, x), "composition is not least")
+        for p1, row in g._rows.items():
+            for p2, c in row.items():
+                if (p1, c) not in rel.pairs or (p2, c) not in rel.pairs:
+                    return Verdict(False, (p1, p2), "composition is not an upper bound")
+                for x in g.elements:
+                    if (p1, x) in rel.pairs and (p2, x) in rel.pairs and (c, x) not in rel.pairs:
+                        return Verdict(False, (p1, p2, x), "composition is not least")
         return Verdict(True)
 
     # In g's carrier order, which a relation's own carrier need not follow.
     ordered = sorted(rel.pairs, key=lambda pq: (g._position[pq[0]], g._position[pq[1]]))
 
-    def compat(left_side: bool) -> Verdict:
+    def compat(lines) -> Verdict:
+        # p1 <= p2 must carry each defined entry of p1's line to a defined,
+        # related entry of p2's: columns for the left law, rows for the right
         for p1, p2 in ordered:
-            for p in g.elements:
-                if left_side:
-                    a, b = g.table.get((p, p1)), g.table.get((p, p2))
-                else:
-                    a, b = g.table.get((p1, p)), g.table.get((p2, p))
-                if a is None:
-                    continue
+            line = lines[p2]
+            for p, a in lines[p1].items():
+                b = line.get(p)
                 if b is None:
                     return Verdict(False, (p1, p2, p), "definedness not transported")
                 if (a, b) not in rel.pairs:
                     return Verdict(False, (p1, p2, p), "compositions not related")
         return Verdict(True)
 
-    return OrderAxiomsReport(lub(), compat(True), compat(False))
+    return OrderAxiomsReport(lub(), compat(g._columns), compat(g._rows))
 
 
 def order_characterization(g: FiniteGroupoid, rel: OrderRelation) -> OrderCharacterization:

@@ -5,12 +5,12 @@ bounded words), which reports the first violation of each law in carrier
 order as a replayable witness, so two runs on the same input always return
 the same verdict.  Each scan costs what can fail, not the carrier: the pair
 scan is one pass over the defined entries; the other scans read the filing
-each table keeps (one sorted pass over the table, on the first request,
-lists every row and column in carrier order).  The representativity scan
-decides each defined pair by two subset tests of line operand sets; the
-triple scan walks the defined chains, two lookups each, and decides SA off
-the chains by counting; NR builds its defined words from shorter defined
-words one first letter at a time.
+each table keeps (made on the first request, without a sort: every row
+``{y: x o y}`` and column ``{x: x o y}`` as a dict in carrier order).  The
+representativity scan decides each defined pair by two subset tests of
+line keys; the triple scan walks the defined chains, two line lookups
+each, and decides SA off the chains by counting; NR builds its defined
+words from shorter defined words one first letter at a time.
 
 Idempotence and strong associativity together imply word idempotence (NR)
 at every bound.  Under SA both groupings of any three factors are defined
@@ -127,18 +127,6 @@ def _scan_pairs(g: FiniteGroupoid):
     return tuple(None if w is None else (elements[w[0]], elements[w[1]]) for w in (s, c, sc))
 
 
-class _OperandSets(dict):
-    """The operands of each line of ``lines`` as a frozenset, each built
-    from its line on first request."""
-
-    def __init__(self, lines):
-        self.lines = lines
-
-    def __missing__(self, e):
-        operands = self[e] = frozenset(x for x, _ in self.lines[e])
-        return operands
-
-
 def _scan_representativity(g: FiniteGroupoid):
     """Rl: (p, p1) and (p1, p2) defined => (p, p1 o p2) defined.
     Rr, its dual: (p1, p2) and (p2, p) defined => (p1 o p2, p) defined.
@@ -146,21 +134,22 @@ def _scan_representativity(g: FiniteGroupoid):
 
     With c = p1 o p2, Rl holds at (p1, p2) exactly when the operands of
     p1's column are among those of c's column, and Rr exactly when the
-    operands of p2's row are among those of c's row: one subset test each,
-    for each defined (p1, p2) in carrier order, of operand sets built from
-    the table's filing on first use.  Only a failing test walks its line,
-    for the first p missing from c's, so the scan makes no table lookup."""
-    rows, columns = g._filing
-    row_operands, column_operands = _OperandSets(rows), _OperandSets(columns)
+    operands of p2's row are among those of c's row: one subset test of two
+    filed lines' keys each, for each defined (p1, p2) in carrier order, and
+    none where c is p1 (for Rl) or p2 (for Rr).  Only a failing test walks
+    its line, against c's, for the first p missing from it, so the scan
+    makes no table lookup."""
+    rows, columns = g._rows, g._columns
     left = right = None
-    for p1 in g.elements:
-        for p2, c in rows[p1]:
-            if left is None and not column_operands[p1] <= column_operands[c]:
-                missing = column_operands[c]
-                left = next((p1, p2, p) for p, _ in columns[p1] if p not in missing)
-            if right is None and not row_operands[p2] <= row_operands[c]:
-                missing = row_operands[c]
-                right = next((p1, p2, p) for p, _ in rows[p2] if p not in missing)
+    for p1, row in rows.items():
+        column = columns[p1]
+        for p2, c in row.items():
+            if left is None and c != p1 and not column.keys() <= columns[c].keys():
+                missing = columns[c]
+                left = next((p1, p2, p) for p in column if p not in missing)
+            if right is None and c != p2 and not rows[p2].keys() <= rows[c].keys():
+                missing = rows[c]
+                right = next((p1, p2, p) for p in rows[p2] if p not in missing)
             if left and right:
                 return left, right, left
     return left, right, left or right
@@ -174,22 +163,24 @@ def _scan_triples(g: FiniteGroupoid):
 
     A and CA can fail only on a chain, where ab and bc are defined: for each
     p1 the scan walks p1's row and, for each entry (p2, ab), p2's row, from
-    the table's filing, with two lookups per chain.  SA can fail off the
-    chains too, where one grouping is defined and the other is not, and is
-    decided by counting.  The left grouping is defined at the p3 of ab's
-    row, and the right one at the entries (p2, p3) whose value is an operand
-    of p1's row; every chain on which both are defined and agree takes one
-    of each, and SA holds at p1 exactly when those chains take them all.
-    Only a p1 where the count falls short, or where A fails first, is
-    searched for the least failing (p2, p3)."""
-    rows, get = g._rows, g.table.get
+    the table's filing, and reads the two groupings off ab's row and p1's
+    row, two lookups per chain.  SA can fail off the chains too, where one
+    grouping is defined and the other is not, and is decided by counting.
+    The left grouping is defined at the p3 of ab's row, and the right one
+    at the entries (p2, p3) whose value is an operand of p1's row; every
+    chain on which both are defined and agree takes one of each, and SA
+    holds at p1 exactly when those chains take them all.  Only a p1 where
+    the count falls short, or where A fails first, is searched for the
+    least failing (p2, p3)."""
+    rows = g._rows
     valued = Counter(g.table.values())
     ca = sa = None
-    for p1 in g.elements:
-        row, held = rows[p1], 0
-        for p2, ab in row:
-            for p3, bc in rows[p2]:
-                left, right = get((ab, p3)), get((p1, bc))
+    for p1, row in rows.items():
+        held = 0
+        for p2, ab in row.items():
+            grouped = rows[ab]
+            for p3, bc in rows[p2].items():
+                left, right = grouped.get(p3), row.get(bc)
                 if left == right and left is not None:
                     held += 1
                     continue
@@ -198,7 +189,7 @@ def _scan_triples(g: FiniteGroupoid):
                 if left is not None and right is not None:
                     # both groupings defined and different: A, CA and SA all fail
                     return w, ca, sa or _first_strong_failure(g, p1)
-        if sa is None and 2 * held < sum(len(rows[ab]) + valued[p2] for p2, ab in row):
+        if sa is None and 2 * held < sum(len(rows[ab]) + valued[p2] for p2, ab in row.items()):
             sa = _first_strong_failure(g, p1)
     return None, ca, sa
 
@@ -207,17 +198,17 @@ def _first_strong_failure(g: FiniteGroupoid, p1):
     """The least (p1, p2, p3) in carrier order at which SA fails, for a p1
     where it fails.  A grouping is defined at (p2, p3) only when p3 is in
     the row of p1 o p2 (the left one) or in p2's row (the right one), so
-    each p2 in carrier order tries the p3 of those lines, and the first p2
-    with a failing p3 gives the witness."""
-    rows, get, position = g._rows, g.table.get, g._position
+    each p2 in carrier order tries the p3 of those two lines' keys, and the
+    first p2 with a failing p3 gives the witness."""
+    rows, position = g._rows, g._position
+    row = rows[p1]
     for p2 in g.elements:
-        ab = get((p1, p2))
-        failing = []
-        for p3, _ in rows[p2] if ab is None else rows[p2] + rows[ab]:
-            bc = get((p2, p3))
-            left = None if ab is None else get((ab, p3))
-            if left != (None if bc is None else get((p1, bc))):
-                failing.append(p3)
+        line = rows[p2]
+        grouped = rows.get(row.get(p2), {})  # empty where p1 o p2 is undefined
+        # row.get(None) is None, so an undefined p2 o p3 groups to nothing
+        failing = [
+            p3 for p3 in line.keys() | grouped.keys() if grouped.get(p3) != row.get(line.get(p3))
+        ]
         if failing:
             return p1, p2, min(failing, key=position.__getitem__)
 
@@ -291,7 +282,7 @@ def _word_idempotence_witness(g: FiniteGroupoid, bound: int):
                 right = holding[k - m]
                 for u, product in starting[m][a].items():
                     for x in product:
-                        for y, xy in row[x]:
+                        for y, xy in row[x].items():
                             for v in right.get(y, ()):
                                 products.setdefault(u + v, set()).add(xy)
             constant = (a,) * k
@@ -313,7 +304,7 @@ def check_property(
 
     The laws are decided by family, one scan each: I over elements; S, C
     and SC over defined entries; Rl, Rr and R over defined pairs, by line
-    operand sets; A, CA and SA over defined chains, with SA off the chains
+    keys; A, CA and SA over defined chains, with SA off the chains
     counted; NR from I and SA, else over words up to
     ``nr_word_bound``, per bound.  The first request for any law of a
     family runs its scan and stores every verdict of the family on ``g``;

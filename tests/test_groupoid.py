@@ -28,6 +28,7 @@ from helpers import (
     naive_merge_closure,
     parenthesization_products,
     random_groupoid,
+    random_sparse_shaped,
     successor_chain,
 )
 import random
@@ -113,6 +114,20 @@ class _CountingTable(dict):
             yield key, value
 
 
+def _filed_by_definition(g: FiniteGroupoid):
+    """The rows and columns of ``g``, each a list of its (operand, value)
+    entries in carrier order, from a comprehension over ``g.table``."""
+    e, table = g.elements, g.table
+    rows = {x: [(y, table[x, y]) for y in e if (x, y) in table] for x in e}
+    columns = {y: [(x, table[x, y]) for x in e if (x, y) in table] for y in e}
+    return rows, columns
+
+
+def _listed(lines):
+    """Filed lines as lists of their (operand, value) items, in dict order."""
+    return {k: list(line.items()) for k, line in lines.items()}
+
+
 def test_every_row_and_column_costs_its_entries_not_the_carrier():
     # a successor chain of 48 elements has 46 entries among 2,304 pairs
     g = builtin("chain", 48)
@@ -121,10 +136,36 @@ def test_every_row_and_column_costs_its_entries_not_the_carrier():
     rows, columns = g._filing
     # all the lines together read each defined entry once, and no other pair
     assert sorted(log) == sorted(g.table)
-    # the lines are the table's, in carrier order
-    e = g.elements
-    assert rows == {x: [(y, g.table[x, y]) for y in e if (x, y) in g.table] for x in e}
-    assert columns == {y: [(x, g.table[x, y]) for x in e if (x, y) in g.table] for y in e}
+    # the lines are plain dicts of the table's entries, keyed in carrier order
+    assert all(type(line) is dict for line in [*rows.values(), *columns.values()])
+    assert (_listed(rows), _listed(columns)) == _filed_by_definition(g)
+
+
+def test_filing_matches_a_comprehension_over_the_table_order_included():
+    # seeded random and sparse-shaped tables on shuffled carriers, their
+    # entries inserted in random order, plus a restriction of each: every
+    # line holds the table's entries in carrier order, whatever the table's
+    # insertion order
+    rng = random.Random(29)
+    tables = []
+    for i in range(60):
+        size = rng.randint(1, 14)
+        g = random_groupoid(rng, size, rng.uniform(0.05, 0.9), idempotent=i % 2 == 0)
+        tables.append(FiniteGroupoid(tuple(rng.sample(g.elements, size)), g.table))
+    tables += [random_sparse_shaped(rng, rng.randint(8, 40)) for _ in range(20)]
+    unordered = 0
+    for g in tables:
+        entries = list(g.table.items())
+        rng.shuffle(entries)
+        scrambled = FiniteGroupoid(g.elements, dict(entries))
+        subset = rng.sample(g.elements, rng.randint(1, len(g)))
+        for h in (scrambled, scrambled.restrict(subset)):
+            rows, columns = h._filing
+            assert list(rows) == list(columns) == list(h.elements)
+            assert (_listed(rows), _listed(columns)) == _filed_by_definition(h)
+            unordered += list(h.table) != [(x, y) for x, y in h.pairs() if (x, y) in h.table]
+    # the tables' own entry order is almost never carrier order
+    assert unordered > len(tables)
 
 
 def test_restrict_matches_a_comprehension_over_the_table():

@@ -15,6 +15,7 @@ from matchmerge import (
     OrderVariant,
     Property,
     Verdict,
+    builtin,
     check_order_axioms,
     check_property,
     dominates,
@@ -490,6 +491,38 @@ def test_order_layer_matches_the_oracles():
         ]
         for rel in relations:
             _assert_relation_matches_oracles(g, rel, natural["both"], algebra_failures)
+
+
+class _CountingTable(dict):
+    """A table that counts its ``get``, ``in`` and ``[]`` lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return dict.get(self, key, default)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return dict.__contains__(self, key)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return dict.__getitem__(self, key)
+
+
+def test_order_axioms_read_lines_not_the_table():
+    # under its natural order both compatibility laws hold on uchain:48, so
+    # each walks the lines of every related pair in full, and lub fails at
+    # the first successor entry; none of it looks up the table
+    g = builtin("uchain", 48)
+    rel = natural_order(g, B)
+    table = _CountingTable(g.table)
+    object.__setattr__(g, "table", table)
+    report = check_order_axioms(g, rel)
+    assert report.left_compat.holds and report.right_compat.holds
+    assert report.lub.witness == ("a1", "a2")
+    assert table.lookups == 0
 
 
 def test_stored_relations_do_not_depend_on_request_order():
