@@ -17,14 +17,18 @@ witness of ``tests/helpers.first_violations``, and NR at word bound
 scrambled and sparse tables, ``clique_cover`` and ``connected_components``
 of the domain graph must also give the cliques (nodes, totality and leaks)
 of ``tests/helpers.naive_clique_cover`` and the components (nodes and
-table) of ``tests/helpers.naive_components``.  The first mismatch is
-printed and the sweep exits 1; otherwise it prints what it checked and
-exits 0.
+table) of ``tests/helpers.naive_components``, and ``generated_subgroupoid``
+from three seeded instances must give the status, the carrier in order,
+the table in the order composed and the round count of
+``tests/helpers.closure_by_rounds``; the third instance runs under an
+element budget below its closure's size, which stops the run wherever the
+closure has more than one element.  The first mismatch is printed and the
+sweep exits 1; otherwise it prints what it checked and exits 0.
 
-It takes about three minutes on one core, so it is not part of the test
+It takes about two minutes on one core, so it is not part of the test
 suite: run it after changing a law scan, how a table's rows and columns
-are built, the order in which a scan reads the table, or how the domain
-graph is covered or split.
+are built, the order in which a scan reads the table, how the domain
+graph is covered or split, or how a closure is computed.
 
   PYTHONPATH=src python3 scripts/sweep_witnesses.py
 """
@@ -39,6 +43,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from helpers import (
+    closure_by_rounds,
     first_nr_violation,
     first_violations,
     naive_clique_cover,
@@ -47,12 +52,14 @@ from helpers import (
 )
 
 from matchmerge import (
+    Budget,
     FiniteGroupoid,
     Property,
     check_property,
     clique_cover,
     connected_components,
     domain_graph,
+    generated_subgroupoid,
 )
 
 LAWS = [p for p in Property if p is not Property.WORD_IDEMPOTENT]
@@ -89,6 +96,27 @@ def sparse_tables():
         entries = list(g.table.items())
         rng.shuffle(entries)
         yield FiniteGroupoid(tuple(rng.sample(g.elements, size)), dict(entries))
+
+
+def closure_mismatch(g: FiniteGroupoid, rng: random.Random) -> tuple[str | None, int]:
+    """The first of three seeded closures of ``g`` that differs from
+    ``closure_by_rounds``, described, or None; and how many of the three
+    the budget stopped."""
+    stopped = 0
+    for k in range(3):
+        seeds = rng.sample(g.elements, rng.randint(1, len(g)))
+        budget = Budget()
+        if k == 2:
+            size = len(closure_by_rounds(g, seeds)[1])
+            budget = Budget(max_elements=rng.randint(1, max(1, size - 1)))
+        expected = closure_by_rounds(g, seeds, budget.max_elements, budget.max_rounds)
+        result = generated_subgroupoid(g, seeds, budget)
+        got = result.status, result.carrier, list(result.groupoid.table.items()), result.iterations
+        if got != expected:
+            described = f"closure of {seeds} under {budget} on {g.elements} {g.table}"
+            return f"{described}: {got}, oracle {expected}", stopped
+        stopped += got[0] == "budget_exhausted"
+    return None, stopped
 
 
 def mismatch(g: FiniteGroupoid, graphs: bool) -> str | None:
@@ -129,18 +157,22 @@ def main() -> int:
         ("scrambled", scrambled_tables(), True),
         ("sparse", sparse_tables(), True),
     )
+    rng = random.Random(SEED)  # the closures' seeds and budgets
     for name, tables, graphs in batches:
-        count = 0
+        count = stopped = 0
         for g in tables:
             count += 1
             found = mismatch(g, graphs)
+            if graphs and not found:
+                found, k = closure_mismatch(g, rng)
+                stopped += k
             if found:
                 print(f"mismatch in {name} table {count}: {found}")
                 return 1
-        extra = ", clique cover and components" if graphs else ""
+        extra = ", clique cover, components and 3 closures" if graphs else ""
         print(
             f"{name}: {count} tables, {len(LAWS)} laws and NR at bound {NR_BOUND}{extra}"
-            " each, all agree"
+            " each, all agree" + (f" ({stopped} closures stopped by the budget)" if graphs else "")
         )
     return 0
 

@@ -116,12 +116,13 @@ def _parse_instance(arg: str | None, loaded: CliInput):
         ids = _record_ids(arg) if loaded.records else [i for i in arg.split(",") if i]
         if not ids:
             raise LoadError(arg, "empty instance")
-    by_id = {loaded.host.key(m): m for m in loaded.members}
-    missing = [i for i in ids if i not in by_id]
+    # a table's members are its ids, so only records are looked up by key
+    known = {loaded.host.key(m): m for m in loaded.members} if loaded.records else loaded.host
+    missing = [i for i in ids if i not in known]
     if missing:
         where = "not among the input records" if loaded.records else "outside the carrier"
         raise LoadError(arg, f"instance ids {where}: {missing}")
-    return [by_id[i] for i in ids]
+    return [known[i] for i in ids] if loaded.records else ids
 
 
 def _record_ids(text: str) -> list[str]:
@@ -231,7 +232,8 @@ def _cmd_closure(args):
         f"budget: max_elements={result.budget.max_elements} max_rounds={result.budget.max_rounds}",
         "elements:",
     ]
-    lines.extend(f"  {e}" for e in carrier)
+    if args.format == "text":  # machine output drops the lines, one per element here
+        lines.extend(f"  {e}" for e in carrier)
     return (0 if result.closed else 1), payload, lines
 
 
@@ -302,7 +304,8 @@ def _cmd_er(args):
     lines.extend(f"decision: {t}" for t in trail)
     lines.append(f"method: {result.method}" + (f" ({note})" if note else ""))
     lines.append(f"resolved ({len(result.resolved)}):")
-    lines.extend(f"  {e}" for e in result.resolved)
+    if args.format == "text":
+        lines.extend(f"  {e}" for e in result.resolved)
     lines.append(f"certificate: {result.certificate}")
     return 0, payload, lines
 
@@ -339,7 +342,8 @@ def _cmd_graph(args):
         components = domaingraph.connected_components(dg)
         payload["components"] = [sorted(c.nodes) for c in components]
         lines.append(f"components ({len(components)}):")
-        lines.extend(f"  {_bracketed(nodes)}" for nodes in payload["components"])
+        if args.format == "text":
+            lines.extend(f"  {_bracketed(nodes)}" for nodes in payload["components"])
     if args.clique_cover:
         cover = domaingraph.clique_cover(dg)
         payload["cliques"] = [
@@ -347,11 +351,12 @@ def _cmd_graph(args):
             for c in cover.cliques
         ]
         lines.append(f"cliques ({len(cover.cliques)}):")
-        lines.extend(
-            f"  {_bracketed(c.nodes)} total={_yesno(c.is_total)}"
-            + (f" leaks={len(c.leaks)}" if c.leaks else "")
-            for c in cover.cliques
-        )
+        if args.format == "text":
+            lines.extend(
+                f"  {_bracketed(c.nodes)} total={_yesno(c.is_total)}"
+                + (f" leaks={len(c.leaks)}" if c.leaks else "")
+                for c in cover.cliques
+            )
     if args.dot:
         try:
             Path(args.dot).write_text(domaingraph.to_dot(dg), encoding="utf-8")

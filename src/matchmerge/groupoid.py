@@ -74,8 +74,8 @@ class FiniteGroupoid:
     # line in carrier order: the entries are bucketed by column, the buckets
     # walked in carrier order to fill the rows, and the rows walked in
     # carrier order to fill the columns, so no pass sorts.  Made on the
-    # first request of a line or a closure over the table, and kept for the
-    # table's life, which is valid only because ``table`` never changes.
+    # first request of a line, and kept for the table's life, which is
+    # valid only because ``table`` never changes.  Closure does not file.
     @cached_property
     def _filing(self) -> tuple[dict[ElementId, Line], dict[ElementId, Line]]:
         elements = self.elements
@@ -332,31 +332,36 @@ def _close_under_composition(host, items, budget):
 def _table_compositions(g: FiniteGroupoid, items):
     """A closure round on an explicit host: ``compositions(start)`` yields
     ``(xid, yid, z, z)`` for each defined pair of ``items`` with an operand
-    at carrier position ``start`` or later, ascending by the pair's
+    at closure position ``start`` or later, ascending by the pair's
     positions.
 
-    Those pairs are the keys of the new elements' rows, and of their
-    columns restricted to older elements, from the table's filing, sorted
-    here by closure position, which need not be carrier order.  Each value
-    is read through ``g.table.get``, so a table that counts its lookups
-    counts every composition.
+    Those pairs are the new elements' right partners, and their left
+    partners among older elements, from one pass over the table's keys
+    made per closure and not kept, sorted here by closure position.  Each
+    value is read through ``g.table.get``, so a table that counts its
+    lookups counts every composition.
     """
-    rows, columns = g._filing
+    rights: dict[ElementId, list] = {}  # x -> [y : (x, y) defined], in table order
+    lefts: dict[ElementId, list] = {}  # y -> [x : (x, y) defined], in table order
+    for x, y in g.table:
+        rights.setdefault(x, []).append(y)
+        lefts.setdefault(y, []).append(x)
+    ids: list[ElementId] = []  # closure position -> carrier id
     position: dict[ElementId, int] = {}  # carrier id -> closure position
 
     def compositions(start):
-        ids = list(items)
+        for e in itertools.islice(items, len(ids), None):
+            position[e] = len(ids)
+            ids.append(e)
         n = len(ids)
-        for i in range(len(position), n):
-            position[ids[i]] = i
         pairs = []  # i * n + j for the pair at closure positions (i, j)
         for i in range(start, n):
             e = ids[i]
-            for y in rows[e]:
+            for y in rights.get(e, ()):
                 j = position.get(y)
                 if j is not None:
                     pairs.append(i * n + j)
-            for x in columns[e]:
+            for x in lefts.get(e, ()):
                 h = position.get(x)
                 if h is not None and h < start:
                     pairs.append(h * n + i)

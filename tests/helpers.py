@@ -3,7 +3,9 @@
 The oracles here deliberately do not share code paths with the library:
 products are evaluated by enumerating explicit grouping trees (Catalan
 style) instead of interval dynamic programming, and closures by a naive
-add-all-pairs loop instead of the round-based worklist.
+add-all-pairs loop, or, where the order and the budget stop matter, by
+rounds that walk every pair of closure positions instead of each new
+element's partners.
 """
 
 from __future__ import annotations
@@ -95,6 +97,44 @@ def naive_merge_closure(g: FiniteGroupoid, seeds) -> frozenset:
                     members.add(z)
                     changed = True
     return frozenset(members)
+
+
+def closure_by_rounds(g: FiniteGroupoid, seeds, max_elements=10_000, max_rounds=1_000):
+    """Oracle for ``generated_subgroupoid`` on a table, from ``g.table``
+    alone: ``(status, carrier, table items, rounds)``.
+
+    The carrier starts as the distinct seeds in id order.  Each round
+    walks every pair of closure positions (i, j) in order, and composes
+    the defined ones with i or j at a position found in the previous round
+    (every pair in round one).  A value outside the carrier is new; the
+    round's new values join the carrier after the round, in the order
+    found.  The run stops exhausted before a round past ``max_rounds``, or
+    at the new value that would make the carrier larger than
+    ``max_elements`` (that pair is not recorded, and the round's earlier
+    new values are kept), and closed after a round that finds nothing."""
+    carrier = sorted(set(seeds))
+    table = []
+    if len(carrier) > max_elements:
+        return "budget_exhausted", tuple(carrier), table, 0
+    rounds = start = 0
+    while rounds < max_rounds:
+        rounds += 1
+        n, fresh = len(carrier), []
+        for i in range(n):
+            for j in range(n):
+                z = g.table.get((carrier[i], carrier[j]))
+                if z is None or max(i, j) < start:
+                    continue
+                if z not in carrier and z not in fresh:
+                    if n + len(fresh) >= max_elements:
+                        return "budget_exhausted", tuple(carrier + fresh), table, rounds
+                    fresh.append(z)
+                table.append(((carrier[i], carrier[j]), z))
+        if not fresh:
+            return "closed", tuple(carrier), table, rounds
+        start = n
+        carrier += fresh
+    return "budget_exhausted", tuple(carrier), table, rounds
 
 
 def brute_force_generates(g: FiniteGroupoid, candidate) -> bool:

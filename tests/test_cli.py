@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matchmerge import cli, domaingraph, load_groupoid
+from matchmerge import FiniteGroupoid, cli, domaingraph, load_groupoid
 from matchmerge.cli import run
-from matchmerge.errors import InternalInvariantError
+from matchmerge.errors import InternalInvariantError, LoadError
 from matchmerge.order import OrderRelation
 from helpers import full_by_definition
 
@@ -426,6 +426,20 @@ def test_instance_document_ids_outside_the_carrier_exit_two(capsys, tmp_path):
         code, _, err = invoke(capsys, command, "fixtures/p1", "--instance", "zz")
         assert code == 2
         assert err == "error: zz: instance ids outside the carrier: ['zz']\n"
+
+
+def test_a_table_instance_is_checked_without_a_call_per_carrier_member(monkeypatch):
+    loaded = cli._resolve_input("uchain:48")
+    calls = []
+    for name in ("require", "key"):
+        original = getattr(FiniteGroupoid, name)
+        monkeypatch.setattr(
+            FiniteGroupoid, name, lambda g, e, f=original, name=name: calls.append(name) or f(g, e)
+        )
+    assert cli._parse_instance("a30,a7", loaded) == ["a30", "a7"]
+    with pytest.raises(LoadError, match=r"outside the carrier: \['zz', 'a'\]"):
+        cli._parse_instance("a7,zz,a", loaded)
+    assert calls == []
 
 
 def test_fixtures_listing(capsys):

@@ -25,6 +25,7 @@ from matchmerge import (
 from matchmerge.groupoid import _subset_product
 from helpers import (
     brute_force_generates,
+    closure_by_rounds,
     naive_merge_closure,
     parenthesization_products,
     random_groupoid,
@@ -249,15 +250,41 @@ def test_a_restriction_reads_only_its_rows_once_the_table_is_filed():
     }
 
 
-def test_a_report_and_a_closure_on_one_table_file_it_once(monkeypatch):
+def test_a_report_files_a_table_once_and_a_closure_after_it_files_nothing(monkeypatch):
     filed = []
     original = FiniteGroupoid._filing.func
     monkeypatch.setattr(FiniteGroupoid._filing, "func", lambda g: filed.append(g) or original(g))
     g = builtin("uchain", 12)
     property_report(g, 3)  # reads rows and columns
+    assert filed == [g]
     closure = generated_subgroupoid(g, ["a1", "a2"])
     assert closure.closed and set(closure.carrier) == set(g.elements)
     assert filed == [g]
+
+
+class _CountingPasses(_CountingTable):
+    """A ``_CountingTable`` that also logs ``"pass"`` for each pass over
+    its keys."""
+
+    def __iter__(self):
+        self.log.append("pass")
+        return dict.__iter__(self)
+
+    def keys(self):
+        self.log.append("pass")
+        return dict.keys(self)
+
+
+def test_a_closure_on_an_unfiled_table_files_nothing_and_passes_over_it_once():
+    g = builtin("uchain", 48)
+    log = []
+    object.__setattr__(g, "table", _CountingPasses(g.table, log))
+    closure = generated_subgroupoid(g, ["a1", "a2"])
+    assert closure.closed and set(closure.carrier) == set(g.elements)
+    assert "_filing" not in vars(g)
+    # one pass over the keys, then one lookup per composition, each pair once
+    assert log[0] == "pass"
+    assert sorted(log[1:]) == sorted(("get", x, y) for x, y in dict.keys(g.table))
 
 
 # -- subset products ------------------------------------------------------------
@@ -379,6 +406,55 @@ def test_closure_restriction_is_merge_closed(q2):
 def test_closure_requires_nonempty_seed(p1):
     with pytest.raises(ValueError):
         generated_subgroupoid(p1, [])
+
+
+def _closure_cases(rng):
+    """Seeded (table, seeds) pairs: successor chains with and without loops,
+    seeded with an operand pair at several offsets along the chain, and
+    sparse-shaped tables with their entries inserted in shuffled order,
+    seeded with random elements; every carrier is shuffled."""
+    for i in range(6):
+        g = successor_chain(rng, rng.randint(20, 48), loops=i % 2 == 0)
+        links = [(x, y) for x, y in g.table if x != y]  # along the chain, in order
+        for at in (0, len(links) // 4, len(links) // 2, len(links) - 1):
+            yield g, list(links[at])
+        yield g, rng.sample(g.elements, 3)
+    for _ in range(6):
+        g = random_sparse_shaped(rng, rng.randint(20, 48))
+        entries = list(g.table.items())
+        rng.shuffle(entries)
+        g = FiniteGroupoid(g.elements, dict(entries))
+        for k in (2, 4, 8):
+            yield g, rng.sample(g.elements, k)
+
+
+def _closure_outcome(g, seeds, budget=Budget()):
+    result = generated_subgroupoid(g, seeds, budget)
+    table = list(result.groupoid.table.items())
+    return result.status, result.carrier, table, result.iterations
+
+
+def test_closure_matches_the_round_oracle_under_every_budget():
+    # status, carrier order, the table in the order composed, and the round
+    # count agree with the oracle, closed and stopped at every element
+    # budget up to the closure's size and at one to three rounds
+    stopped = grown = 0
+    for g, seeds in _closure_cases(random.Random(30)):
+        full = closure_by_rounds(g, seeds)
+        assert full[0] == "closed"
+        assert _closure_outcome(g, seeds) == full
+        size = len(full[1])
+        grown += size > len(set(seeds))
+        for m in range(1, size + 1):
+            expected = closure_by_rounds(g, seeds, max_elements=m)
+            assert _closure_outcome(g, seeds, Budget(max_elements=m)) == expected
+            stopped += expected[0] == "budget_exhausted"
+        for r in (1, 2, 3):
+            expected = closure_by_rounds(g, seeds, max_rounds=r)
+            assert _closure_outcome(g, seeds, Budget(max_rounds=r)) == expected
+            stopped += expected[0] == "budget_exhausted"
+    # most instances grow, and most budgets stop the run
+    assert grown > 30 and stopped > 500
 
 
 # -- irreducible generating sets --------------------------------------------------
