@@ -22,13 +22,18 @@ from three seeded instances must give the status, the carrier in order,
 the table in the order composed and the round count of
 ``tests/helpers.closure_by_rounds``; the third instance runs under an
 element budget below its closure's size, which stops the run wherever the
-closure has more than one element.  The first mismatch is printed and the
+closure has more than one element.  Where NR holds at ``NR_BOUND`` on a
+scrambled or sparse table, ``quotient_idempotence_check`` must give the
+verdict, the witness and the detail of ``tests/helpers.requotient_oracle``,
+which always builds the second quotient, or raise ``CongruenceError`` where
+the oracle finds no first quotient.  The first mismatch is printed and the
 sweep exits 1; otherwise it prints what it checked and exits 0.
 
 It takes about two minutes on one core, so it is not part of the test
 suite: run it after changing a law scan, how a table's rows and columns
 are built, the order in which a scan reads the table, how the domain
-graph is covered or split, or how a closure is computed.
+graph is covered or split, how a closure is computed, or how a quotient
+is built or checked.
 
   PYTHONPATH=src python3 scripts/sweep_witnesses.py
 """
@@ -49,10 +54,12 @@ from helpers import (
     naive_clique_cover,
     naive_components,
     random_groupoid,
+    requotient_oracle,
 )
 
 from matchmerge import (
     Budget,
+    CongruenceError,
     FiniteGroupoid,
     Property,
     check_property,
@@ -60,6 +67,7 @@ from matchmerge import (
     connected_components,
     domain_graph,
     generated_subgroupoid,
+    quotient_idempotence_check,
 )
 
 LAWS = [p for p in Property if p is not Property.WORD_IDEMPOTENT]
@@ -119,6 +127,21 @@ def closure_mismatch(g: FiniteGroupoid, rng: random.Random) -> tuple[str | None,
     return None, stopped
 
 
+def requotient_mismatch(g: FiniteGroupoid) -> str | None:
+    """``quotient_idempotence_check`` at ``NR_BOUND`` against
+    ``requotient_oracle`` (None for a ``CongruenceError`` on both sides),
+    described if they differ; ``g`` must hold NR at that bound."""
+    expected = requotient_oracle(g, NR_BOUND)
+    try:
+        verdict = quotient_idempotence_check(g, NR_BOUND)
+        got = verdict.holds, verdict.witness, verdict.detail
+    except CongruenceError:
+        got = None
+    if got != expected:
+        return f"re-quotient of {g.elements} {g.table}: {got}, oracle {expected}"
+    return None
+
+
 def mismatch(g: FiniteGroupoid, graphs: bool) -> str | None:
     """The first law on which the checker and the oracle differ, then, when
     ``graphs``, the clique cover or the components if they differ from
@@ -159,20 +182,29 @@ def main() -> int:
     )
     rng = random.Random(SEED)  # the closures' seeds and budgets
     for name, tables, graphs in batches:
-        count = stopped = 0
+        count = stopped = requotients = 0
         for g in tables:
             count += 1
             found = mismatch(g, graphs)
             if graphs and not found:
                 found, k = closure_mismatch(g, rng)
                 stopped += k
+            if graphs and not found and check_property(g, Property.WORD_IDEMPOTENT, NR_BOUND).holds:
+                requotients += 1
+                found = requotient_mismatch(g)
             if found:
                 print(f"mismatch in {name} table {count}: {found}")
                 return 1
         extra = ", clique cover, components and 3 closures" if graphs else ""
         print(
             f"{name}: {count} tables, {len(LAWS)} laws and NR at bound {NR_BOUND}{extra}"
-            " each, all agree" + (f" ({stopped} closures stopped by the budget)" if graphs else "")
+            " each, all agree"
+            + (
+                f" ({stopped} closures stopped by the budget; {requotients} tables"
+                " hold NR, and their re-quotient verdicts agree)"
+                if graphs
+                else ""
+            )
         )
     return 0
 

@@ -3,8 +3,11 @@
 Subcommands: check, closure, er, graph, quotient, order, fixtures.
 Inputs are groupoid or records documents (paths, with or without the .json
 suffix) or built-in fixture names like ``p1`` or ``chain:12``.  Output is
-deterministic byte-for-byte for identical inputs and flags.  Each command
-returns one result: an exit code, a machine payload and text lines, and
+deterministic byte-for-byte for identical inputs and flags.  ``run`` alone
+does a call's input and output: it resolves the input, hands it to the
+command, labels the payload with it and prints the format asked for.  Each
+command computes one result: an exit code, a machine payload and a function
+that builds the text lines, called only under ``--format text``.
 ``--format machine`` prints the payload as one JSON object, budget
 exhaustion and domain errors (``{"error": {"type", "message"}}``) included.
 Only ``quotient``'s ``quotient`` member is a groupoid document the loaders
@@ -167,111 +170,89 @@ def _law(name: str, verdict) -> str:
 # -- check -------------------------------------------------------------------
 
 
-def _cmd_check(args):
-    loaded = _resolve_input(args.input)
+def _cmd_check(args, loaded):
     g = loaded.finite(_budget(args))
     report = property_report(g, args.nr_bound)
     violations = implication_audit(g, report)
+    verdicts = report.verdicts.items()  # in Property order
     payload = {
-        "input": loaded.label,
         "elements": len(g),
-        "properties": [],
+        "properties": [
+            {
+                "property": str(p), "holds": v.holds, "universe": v.checked_universe,
+                "witness": list(v.witness) if v.witness else None,
+            }
+            for p, v in verdicts
+        ],
         "is_icar": report.is_icar,
         "is_partial_semigroup_ca": report.is_partial_semigroup_ca,
         "implication_violations": violations,
     }
-    lines = [f"input: {loaded.label} ({len(g)} elements, {len(g.table)} compositions)"]
-    lines.append(f"{'property':<9} {'holds':<6} {'witness':<18} universe")
-    for p in Property:
-        v = report.verdicts[p]
-        payload["properties"].append(
-            {
-                "property": str(p),
-                "holds": v.holds,
-                "witness": list(v.witness) if v.witness else None,
-                "universe": v.checked_universe,
-            }
-        )
-        lines.append(
-            f"{str(p):<9} {_yesno(v.holds):<6} {_fmt_witness(v.witness):<18} {v.checked_universe}"
-        )
-    lines.append(f"ICAR (I, SC, A, R): {_yesno(report.is_icar)}")
-    lines.append(f"partial semigroup (CA): {_yesno(report.is_partial_semigroup_ca)}")
-    if violations:
-        lines.append("implication audit: CHECKER BUG, violated: " + "; ".join(violations))
-    else:
-        lines.append("implication audit: ok")
-    return (1 if violations else 0), payload, lines
+    return (1 if violations else 0), payload, lambda: [
+        f"input: {loaded.label} ({len(g)} elements, {len(g.table)} compositions)",
+        f"{'property':<9} {'holds':<6} {'witness':<18} universe",
+        *(
+            f"{p!s:<9} {_yesno(v.holds):<6} {_fmt_witness(v.witness):<18} {v.checked_universe}"
+            for p, v in verdicts
+        ),
+        f"ICAR (I, SC, A, R): {_yesno(report.is_icar)}",
+        f"partial semigroup (CA): {_yesno(report.is_partial_semigroup_ca)}",
+        "implication audit: "
+        + ("CHECKER BUG, violated: " + "; ".join(violations) if violations else "ok"),
+    ]
 
 
 # -- closure -----------------------------------------------------------------
 
 
-def _cmd_closure(args):
-    from .resolution import merge_closure
+def _cmd_closure(args, loaded):
+    from . import resolution
 
-    loaded = _resolve_input(args.input)
     members = _parse_instance(args.instance, loaded)
-    result = merge_closure(loaded.host, members, _budget(args))
+    result = resolution.merge_closure(loaded.host, members, _budget(args))
     carrier = sorted(result.carrier)
+    budget = result.budget
     payload = {
-        "input": loaded.label,
         "status": result.status,
         "iterations": result.iterations,
-        "budget": {
-            "max_elements": result.budget.max_elements,
-            "max_rounds": result.budget.max_rounds,
-        },
+        "budget": {"max_elements": budget.max_elements, "max_rounds": budget.max_rounds},
         "carrier": carrier,
     }
-    lines = [
+    return (0 if result.closed else 1), payload, lambda: [
         f"input: {loaded.label}",
         f"status: {result.status}",
         f"carrier: {len(carrier)} elements",
         f"iterations: {result.iterations}",
-        f"budget: max_elements={result.budget.max_elements} max_rounds={result.budget.max_rounds}",
+        f"budget: max_elements={budget.max_elements} max_rounds={budget.max_rounds}",
         "elements:",
+        *(f"  {e}" for e in carrier),
     ]
-    if args.format == "text":  # machine output drops the lines, one per element here
-        lines.extend(f"  {e}" for e in carrier)
-    return (0 if result.closed else 1), payload, lines
 
 
 # -- er ----------------------------------------------------------------------
 
 
-def _cmd_er(args):
-    from .resolution import (
-        BRUTEFORCE_CARRIER_GUARD,
-        er_bruteforce,
-        er_full,
-        er_maximal,
-        merge_closure,
-        r_swoosh,
-    )
+def _cmd_er(args, loaded):
+    from . import resolution
 
-    loaded = _resolve_input(args.input)
     budget = _budget(args)
     members = _parse_instance(args.instance, loaded)
-    closure = merge_closure(loaded.host, members, budget)
-    payload = {
-        "input": loaded.label,
-        "closure": {"status": closure.status, "carrier": sorted(closure.carrier)},
-    }
-    lines = [f"input: {loaded.label}"]
+    closure = resolution.merge_closure(loaded.host, members, budget)
+    payload = {"closure": {"status": closure.status, "carrier": sorted(closure.carrier)}}
     if not closure.closed:
         payload["closure"]["iterations"] = closure.iterations
-        lines.append(
+        return 1, payload, lambda: [
+            f"input: {loaded.label}",
             f"closure: {closure.status} after {closure.iterations} iterations"
-            f" ({len(closure.carrier)} elements)"
-        )
-        return 1, payload, lines
+            f" ({len(closure.carrier)} elements)",
+        ]
 
     method = args.method
     note = ""
     trail = []
     if method == "auto":
         g = closure.groupoid
+        guard = resolution.BRUTEFORCE_CARRIER_GUARD
         if all(check_property(g, p).holds for p in ICAR):
             method, note = "rswoosh", "ICAR verified"
         elif all(
@@ -279,8 +260,8 @@ def _cmd_er(args):
             for p in (Property.IDEMPOTENT, Property.CATENARY_ASSOCIATIVE)
         ):
             method, note = "maximal", "I and CA verified"
-        elif len(closure.carrier) <= BRUTEFORCE_CARRIER_GUARD:
-            method, note = "bruteforce", f"carrier <= {BRUTEFORCE_CARRIER_GUARD}"
+        elif len(closure.carrier) <= guard:
+            method, note = "bruteforce", f"carrier <= {guard}"
         else:
             method, note = "full", "no hypotheses verified"
         trail.append(f"{note} -> {method}")
@@ -288,10 +269,9 @@ def _cmd_er(args):
     if method == "rswoosh":
         # a table input is resolved over its closure, and ICAR is checked there
         host = loaded.host if loaded.records else closure.groupoid
-        result = r_swoosh(host, members, budget)
+        result = resolution.r_swoosh(host, members, budget)
     else:
-        resolvers = {"maximal": er_maximal, "bruteforce": er_bruteforce, "full": er_full}
-        result = resolvers[method](closure)
+        result = getattr(resolution, f"er_{method}")(closure)
 
     payload.update(
         decision_trail=trail,
@@ -300,181 +280,184 @@ def _cmd_er(args):
         resolved=list(result.resolved),
         certificate=result.certificate,
     )
-    lines.append(f"closure: {closure.status}, {len(closure.carrier)} elements")
-    lines.extend(f"decision: {t}" for t in trail)
-    lines.append(f"method: {result.method}" + (f" ({note})" if note else ""))
-    lines.append(f"resolved ({len(result.resolved)}):")
-    if args.format == "text":
-        lines.extend(f"  {e}" for e in result.resolved)
-    lines.append(f"certificate: {result.certificate}")
-    return 0, payload, lines
+    return 0, payload, lambda: [
+        f"input: {loaded.label}",
+        f"closure: {closure.status}, {len(closure.carrier)} elements",
+        *(f"decision: {t}" for t in trail),
+        f"method: {result.method}" + (f" ({note})" if note else ""),
+        f"resolved ({len(result.resolved)}):",
+        *(f"  {e}" for e in result.resolved),
+        f"certificate: {result.certificate}",
+    ]
 
 
 # -- graph -------------------------------------------------------------------
 
 
-def _cmd_graph(args):
+def _cmd_graph(args, loaded):
     from . import domaingraph
 
-    loaded = _resolve_input(args.input)
     g = loaded.finite(_budget(args))
     dg = domaingraph.domain_graph(g)
-    payload = {
-        "input": loaded.label,
-        "nodes": sorted(dg.nodes),
-        "edges": sorted([p, q] for p, q in dg.edges),
-    }
-    lines = [
-        f"input: {loaded.label}",
-        f"nodes: {len(dg.nodes)}, edges: {len(dg.edges)}",
-    ]
     try:
         totality = domaingraph.is_total(g)
-        payload["total"] = totality.total
-        lines.append(
-            f"total: {_yesno(totality.total)}"
-            + (f" (missing {_fmt_witness(totality.missing)})" if totality.missing else "")
-        )
     except DomainNotSymmetricError:
-        payload["total"] = None
-        lines.append("total: n/a (domain not symmetric)")
+        totality = None
+    payload = {
+        "nodes": sorted(dg.nodes),
+        "edges": sorted([p, q] for p, q in dg.edges),
+        "total": None if totality is None else totality.total,
+    }
     if args.components:
-        components = domaingraph.connected_components(dg)
-        payload["components"] = [sorted(c.nodes) for c in components]
-        lines.append(f"components ({len(components)}):")
-        if args.format == "text":
-            lines.extend(f"  {_bracketed(nodes)}" for nodes in payload["components"])
+        payload["components"] = [sorted(c.nodes) for c in domaingraph.connected_components(dg)]
     if args.clique_cover:
-        cover = domaingraph.clique_cover(dg)
+        cliques = domaingraph.clique_cover(dg).cliques
         payload["cliques"] = [
             {"nodes": sorted(c.nodes), "total": c.is_total, "leaks": sorted(map(list, c.leaks))}
-            for c in cover.cliques
+            for c in cliques
         ]
-        lines.append(f"cliques ({len(cover.cliques)}):")
-        if args.format == "text":
-            lines.extend(
-                f"  {_bracketed(c.nodes)} total={_yesno(c.is_total)}"
-                + (f" leaks={len(c.leaks)}" if c.leaks else "")
-                for c in cover.cliques
-            )
     if args.dot:
         try:
             Path(args.dot).write_text(domaingraph.to_dot(dg), encoding="utf-8")
         except OSError as exc:
             raise LoadError(args.dot, exc.strerror) from exc
-        lines.append(f"dot written: {args.dot}")
         payload["dot"] = args.dot
-    return 0, payload, lines
+
+    def text():
+        lines = [f"input: {loaded.label}", f"nodes: {len(dg.nodes)}, edges: {len(dg.edges)}"]
+        if totality is None:
+            lines.append("total: n/a (domain not symmetric)")
+        else:
+            missing = f" (missing {_fmt_witness(totality.missing)})" if totality.missing else ""
+            lines.append(f"total: {_yesno(totality.total)}{missing}")
+        if args.components:
+            lines.append(f"components ({len(payload['components'])}):")
+            lines.extend(f"  {_bracketed(nodes)}" for nodes in payload["components"])
+        if args.clique_cover:
+            lines.append(f"cliques ({len(cliques)}):")
+            lines.extend(
+                f"  {_bracketed(c.nodes)} total={_yesno(c.is_total)}"
+                + (f" leaks={len(c.leaks)}" if c.leaks else "")
+                for c in cliques
+            )
+        if args.dot:
+            lines.append(f"dot written: {args.dot}")
+        return lines
+
+    return 0, payload, text
 
 
 # -- quotient ----------------------------------------------------------------
 
 
-def _cmd_quotient(args):
+def _cmd_quotient(args, loaded):
     from . import documents
 
-    loaded = _resolve_input(args.input)
     g = loaded.finite(_budget(args))
     q = quotient(g, args.nr_bound)
     stable = quotient_idempotence_check(g, args.nr_bound)
-    class_checks = [
-        class_semigroup_check(g, cls, args.nr_bound) for cls in q.classes.classes
-    ]
+    classes = q.classes
+    checks = [class_semigroup_check(g, cls, args.nr_bound) for cls in classes.classes]
     doc = documents.groupoid_to_document(q.groupoid)
     payload = {
-        "input": loaded.label,
-        "word_bound": q.classes.word_bound,
-        "classes": [list(cls) for cls in q.classes.classes],
-        "representatives": list(q.classes.representatives),
+        "word_bound": classes.word_bound,
+        "classes": [list(cls) for cls in classes.classes],
+        "representatives": list(classes.representatives),
         "quotient": doc,
         "stable_under_requotient": stable.holds,
-        "classes_are_semigroups": all(v.holds for v in class_checks),
+        "classes_are_semigroups": all(v.holds for v in checks),
     }
-    lines = [
+    return 0, payload, lambda: [
         f"input: {loaded.label}",
-        f"word bound: {q.classes.word_bound}",
-        f"classes ({len(q.classes.classes)}):",
+        f"word bound: {classes.word_bound}",
+        f"classes ({len(classes.classes)}):",
+        *(
+            f"  {_bracketed(cls)} -> {rep} (semigroup: {_yesno(check.holds)})"
+            for cls, rep, check in zip(classes.classes, classes.representatives, checks)
+        ),
+        f"stable under re-quotient: {_yesno(stable.holds)}",
+        "quotient groupoid document:",
+        json.dumps(doc, indent=2),
     ]
-    for cls, rep, check in zip(q.classes.classes, q.classes.representatives, class_checks):
-        lines.append(f"  {_bracketed(cls)} -> {rep} (semigroup: {_yesno(check.holds)})")
-    lines.append(f"stable under re-quotient: {_yesno(stable.holds)}")
-    if args.format == "text":  # machine output drops the lines; this one is a pure-Python encode
-        lines += ["quotient groupoid document:", json.dumps(doc, indent=2)]
-    return 0, payload, lines
 
 
 # -- order -------------------------------------------------------------------
 
 
-def _cmd_order(args):
-    from .order import (
-        OrderRelation,
-        OrderVariant,
-        _characterization,
-        check_order_axioms,
-        full_elements,
-        maximal_elements,
-        natural_order,
-        order_law_audit,
-    )
+def _cmd_order(args, loaded):
+    from . import order
 
-    loaded = _resolve_input(args.input)
     g = loaded.finite(_budget(args))
     variants = (
-        list(OrderVariant) if args.variant == "all" else [OrderVariant(args.variant)]
+        list(order.OrderVariant) if args.variant == "all" else [order.OrderVariant(args.variant)]
     )
-    lines = [f"input: {loaded.label}"]
-    payload = {"input": loaded.label, "natural": {}}
+    payload = {"natural": {}}
+    naturals = []  # (variant, pairs, laws, maximal elements), for the text
     for variant in variants:
-        rel = natural_order(g, variant)
+        rel = order.natural_order(g, variant)
         ordered = rel.sorted_pairs()
-        audit = order_law_audit(rel)
-        maximal = maximal_elements(g, variant)
-        lines.append(f"natural {variant.value}: {len(ordered)} pairs")
-        if args.format == "text":  # machine output drops the lines, one per pair here
-            lines.extend(f"  {p} <= {q}" for p, q in ordered)
+        audit = order.order_law_audit(rel)
+        maximal = order.maximal_elements(g, variant)
         laws = [
             (name, getattr(audit, name)) for name in ("reflexive", "antisymmetric", "transitive")
         ]
-        lines.append("  laws:" + "".join(_law(name, verdict) for name, verdict in laws))
-        lines.append(f"  maximal: {_bracketed(maximal)}")
+        naturals.append((variant, ordered, laws, maximal))
         section = payload["natural"][variant.value] = {
             "pairs": [[p, q] for p, q in ordered], "maximal": list(maximal)
         }
         section.update((name, verdict.holds) for name, verdict in laws)
     # both-full is left-full and right-full, so two passes give all three
-    left, right = full_elements(g, OrderVariant.LEFT), full_elements(g, OrderVariant.RIGHT)
+    left = order.full_elements(g, order.OrderVariant.LEFT)
+    right = order.full_elements(g, order.OrderVariant.RIGHT)
     both = set(left).intersection(right)
     payload["full"] = {
         "left": list(left), "right": list(right), "both": [p for p in left if p in both]
     }
-    lines.append(
-        "full: " + " ".join(f"{v}={_bracketed(full)}" for v, full in payload["full"].items())
-    )
+    user = axioms = charac = None
     if loaded.order_pairs is not None:
-        rel = OrderRelation(g.elements, frozenset(loaded.order_pairs), "user")
+        user_rel = order.OrderRelation(g.elements, frozenset(loaded.order_pairs), "user")
         try:
-            axioms = check_order_axioms(g, rel)  # audits the partial-order laws first
+            axioms = order.check_order_axioms(g, user_rel)  # audits the partial-order laws first
         except NotPartialOrderError:
-            axioms = None
-        lines.append(f"user order: {len(rel.pairs)} pairs")
+            pass
         user = payload["user_order"] = {
-            "pairs": [[p, q] for p, q in rel.sorted_pairs()],
+            "pairs": [[p, q] for p, q in user_rel.sorted_pairs()],
             "is_partial_order": axioms is not None,
         }
+        if axioms is not None:
+            user["axioms"] = {
+                "lub": axioms.lub.holds,
+                "left_compat": axioms.left_compat.holds,
+                "right_compat": axioms.right_compat.holds,
+            }
+            if all((p, p) in g.table for p in g.elements):
+                charac = order._characterization(g, user_rel, axioms)
+                user["characterization"] = {
+                    "axioms_hold": charac.axioms_hold,
+                    "algebra_holds": charac.algebra_holds,
+                    "consistent": charac.holds,
+                    "failed_axioms": list(charac.failed_axioms),
+                    "failed_properties": list(charac.failed_properties),
+                    "relation_matches_natural": charac.relation_matches_natural,
+                }
+
+    def text():
+        lines = [f"input: {loaded.label}"]
+        for variant, ordered, laws, maximal in naturals:
+            lines.append(f"natural {variant.value}: {len(ordered)} pairs")
+            lines.extend(f"  {p} <= {q}" for p, q in ordered)
+            lines.append("  laws:" + "".join(_law(name, verdict) for name, verdict in laws))
+            lines.append(f"  maximal: {_bracketed(maximal)}")
+        full = payload["full"].items()
+        lines.append("full: " + " ".join(f"{v}={_bracketed(names)}" for v, names in full))
+        if user is None:
+            return lines
+        lines.append(f"user order: {len(user['pairs'])} pairs")
         if axioms is None:
             lines.append("  axioms: skipped (not a partial order)")
-            return 0, payload, lines
-        user["axioms"] = {
-            "lub": axioms.lub.holds,
-            "left_compat": axioms.left_compat.holds,
-            "right_compat": axioms.right_compat.holds,
-        }
-        lines.append(
-            "  axioms:" + "".join(f" {k}={_yesno(v)}" for k, v in user["axioms"].items())
-        )
-        if all((p, p) in g.table for p in g.elements):
-            charac = _characterization(g, rel, axioms)
+            return lines
+        lines.append("  axioms:" + "".join(f" {k}={_yesno(v)}" for k, v in user["axioms"].items()))
+        if charac is not None:
             lines.append(
                 f"  characterization: axioms={_yesno(charac.axioms_hold)}"
                 f" algebra={_yesno(charac.algebra_holds)}"
@@ -483,27 +466,23 @@ def _cmd_order(args):
                 f" failed_properties={_bracketed(charac.failed_properties)}"
                 f" natural={_yesno(charac.relation_matches_natural)}"
             )
-            user["characterization"] = {
-                "axioms_hold": charac.axioms_hold,
-                "algebra_holds": charac.algebra_holds,
-                "consistent": charac.holds,
-                "failed_axioms": list(charac.failed_axioms),
-                "failed_properties": list(charac.failed_properties),
-                "relation_matches_natural": charac.relation_matches_natural,
-            }
-    return 0, payload, lines
+        return lines
+
+    return 0, payload, text
 
 
 # -- fixtures ----------------------------------------------------------------
 
 
-def _cmd_fixtures(args):
-    payload, lines = {}, []
-    for name, (desc, size, _) in sorted(adapters.BUILTINS.items()):
-        payload[name] = {"description": desc, "default_size": size}
-        sized = f" (sized, default {size})" if size is not None else ""
-        lines.append(f"{name:<10} {desc}{sized}")
-    return 0, payload, lines
+def _cmd_fixtures(args, loaded):
+    fixtures = sorted(adapters.BUILTINS.items())
+    payload = {
+        name: {"description": desc, "default_size": size} for name, (desc, size, _) in fixtures
+    }
+    return 0, payload, lambda: [
+        f"{name:<10} {desc}" + ("" if size is None else f" (sized, default {size})")
+        for name, (desc, size, _) in fixtures
+    ]
 
 
 # -- machine output ----------------------------------------------------------
@@ -756,18 +735,21 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, payload, lines = args.func(args)
+        loaded = _resolve_input(args.input) if hasattr(args, "input") else None
+        code, payload, text = args.func(args, loaded)
     except MatchMergeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, LoadError):
             return 2
         # a domain error is still one result in machine output; text stays empty
-        code, lines = 1, None
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        code, payload, text = 1, {"error": {"type": type(exc).__name__, "message": str(exc)}}, None
+    else:
+        if loaded is not None:
+            payload["input"] = loaded.label
     if args.format == "machine":
         sys.stdout.write(_json(payload) + "\n")
-    elif lines is not None:
-        sys.stdout.write("\n".join(lines) + "\n")
+    elif text is not None:
+        sys.stdout.write("\n".join(text()) + "\n")
     return code
 
 

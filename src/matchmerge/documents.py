@@ -62,6 +62,21 @@ def _members(data, path, *keys) -> list:
     return [data[key] for key in keys]
 
 
+def _pairs(raw, path, array: str, names: str, carrier=None) -> tuple[Pair, ...]:
+    """The document's ``array`` of ``[names]`` pairs of strings, as tuples.
+    With ``carrier``, each pair must also lie in it; entries are checked in
+    order, each for its shape and then for the carrier."""
+    _expect(isinstance(raw, list), path, f"'{array}' must be an array of [{names}] pairs")
+    for i, entry in enumerate(raw):
+        if not (
+            isinstance(entry, list) and len(entry) == 2 and all(isinstance(e, str) for e in entry)
+        ):
+            raise LoadError(path, f"{array}[{i}] must be a [{names}] pair of strings")
+        if carrier is not None and not (entry[0] in carrier and entry[1] in carrier):
+            raise LoadError(path, f"{array}[{i}] leaves the carrier")
+    return tuple(map(tuple, raw))
+
+
 def load_document(path) -> GroupoidDocument | RecordsDocument:
     """Parse a groupoid document (an ``elements`` key) or a records document
     (a ``records`` key), reading the file once."""
@@ -114,21 +129,7 @@ def _groupoid_document(data, path) -> GroupoidDocument:
 
     order_pairs = None
     if "order" in data:
-        raw = data["order"]
-        _expect(isinstance(raw, list), path, "'order' must be an array of [p, q] pairs")
-        pairs = []
-        for i, entry in enumerate(raw):
-            if not (
-                isinstance(entry, list)
-                and len(entry) == 2
-                and all(isinstance(e, str) for e in entry)
-            ):
-                raise LoadError(path, f"order[{i}] must be a [p, q] pair of strings")
-            p, q = entry
-            if p not in groupoid or q not in groupoid:
-                raise LoadError(path, f"order[{i}] leaves the carrier")
-            pairs.append((p, q))
-        order_pairs = tuple(pairs)
+        order_pairs = _pairs(data["order"], path, "order", "p, q", groupoid)
     return GroupoidDocument(groupoid, order_pairs)
 
 
@@ -195,18 +196,9 @@ def load_digraph(path) -> Digraph:
         path,
         "'nodes' must be an array of strings",
     )
-    _expect(isinstance(arcs, list), path, "'arcs' must be an array of [u, v] pairs")
-    parsed = []
-    for i, entry in enumerate(arcs):
-        if not (
-            isinstance(entry, list)
-            and len(entry) == 2
-            and all(isinstance(e, str) for e in entry)
-        ):
-            raise LoadError(path, f"arcs[{i}] must be a [u, v] pair of strings")
-        parsed.append((entry[0], entry[1]))
+    parsed = _pairs(arcs, path, "arcs", "u, v")
     try:
-        return Digraph(tuple(nodes), tuple(parsed))
+        return Digraph(tuple(nodes), parsed)
     except ValueError as exc:
         raise LoadError(path, str(exc)) from exc
 

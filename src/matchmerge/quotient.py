@@ -114,7 +114,9 @@ def quotient(g: FiniteGroupoid, nr_word_bound: int = DEFAULT_WORD_BOUND) -> Quot
     cc=c, bc=a, cb=b} is its own quotient, and not commutative.
 
     The first request per word bound stores the result on ``g`` and later
-    ones return it, which relies on ``g.table`` never changing.
+    ones return it, which relies on ``g.table`` never changing.  When every
+    class is a singleton the quotient has ``g``'s table, so it is its own
+    quotient at this bound, and that is stored on it too.
     """
     memo_key = ("quotient", nr_word_bound)
     if memo_key in g._derived:
@@ -136,6 +138,10 @@ def quotient(g: FiniteGroupoid, nr_word_bound: int = DEFAULT_WORD_BOUND) -> Quot
                 f" witness {comm.witness!r}"
             )
     g._derived[memo_key] = QuotientGroupoid(quotient_groupoid, projection, classes)
+    if len(carrier) == len(g):
+        quotient_groupoid._derived[memo_key] = QuotientGroupoid(
+            quotient_groupoid, Homomorphism(quotient_groupoid, quotient_groupoid, rep), classes
+        )
     return g._derived[memo_key]
 
 

@@ -402,6 +402,34 @@ def absorption_oracle(g: FiniteGroupoid):
     return ("classes", tuple(classes))
 
 
+def requotient_oracle(g: FiniteGroupoid, bound: int):
+    """Oracle for ``quotient_idempotence_check`` once NR holds on ``g`` at
+    ``bound``: ``(holds, witness, detail)``, or None when ``g`` itself has
+    no quotient.
+
+    Both quotients are built from ``absorption_oracle`` classes, the second
+    one always.  NR on the first comes from ``first_nr_violation``, unless
+    every class is a singleton: the first then has ``g``'s table, on which
+    NR holds by the precondition.
+    """
+    law, classes = absorption_oracle(g)
+    if law != "classes":
+        return None
+    rep = {e: cls[0] for cls in classes for e in cls}
+    table = {(rep[x], rep[y]): rep[v] for (x, y), v in g.table.items()}
+    first = FiniteGroupoid(tuple(cls[0] for cls in classes), table)
+    witness = None if len(first) == len(g) else first_nr_violation(first, bound)
+    if witness is not None:
+        return False, witness, "word idempotence fails on the quotient"
+    law, second = absorption_oracle(first)
+    if law != "classes":
+        return False, second, f"{law} fails on the quotient"
+    offender = next((cls for cls in second if len(cls) > 1), None)
+    if offender is None:
+        return True, None, "second quotient is the identity"
+    return False, offender, "quotient carrier still collapses"
+
+
 # -- connected-components oracle -----------------------------------------------
 
 

@@ -734,6 +734,28 @@ def test_every_command_prints_one_result(capsys):
     assert domain_errors == 12
 
 
+def test_machine_output_builds_no_text(capsys, monkeypatch, tmp_path):
+    # the text helpers raise, so a machine run that built a line would fail
+    orders = {
+        "partial": [[x, y] for x in "abc" for y in "abc" if x <= y],
+        "not-partial": [["a", "a"], ["b", "b"], ["c", "c"], ["a", "b"], ["b", "c"]],
+    }
+    for name, pairs in orders.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**SEMILATTICE, "order": pairs}), encoding="utf-8")
+    argvs = _surface_runs() + [["order", str(tmp_path / name)] for name in orders]
+    expected = [invoke(capsys, *argv, "--format", "machine") for argv in argvs]
+
+    def no_text(*args, **kwargs):
+        raise AssertionError("text built under --format machine")
+
+    for name in ("_yesno", "_bracketed", "_fmt_witness", "_law"):
+        monkeypatch.setattr(cli, name, no_text)
+    monkeypatch.setattr(json, "dumps", no_text)  # the indented quotient document
+    for argv, before in zip(argvs, expected):
+        assert invoke(capsys, *argv, "--format", "machine") == before, argv
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [

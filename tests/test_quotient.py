@@ -4,6 +4,7 @@ import importlib
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,6 +29,7 @@ from helpers import (
     parenthesization_products,
     random_banded_groupoid,
     random_groupoid,
+    requotient_oracle,
     word_products,
 )
 from matchmerge.cli import run
@@ -390,7 +392,7 @@ def test_class_words_collapse_to_endpoints(leftzero2):
 # -- stored quotients ----------------------------------------------------------------------
 
 
-def test_quotient_is_built_once_per_table_and_bound(monkeypatch, capsys):
+def test_quotient_is_built_once_per_table_and_bound(monkeypatch, capsys, tmp_path):
     # the package re-exports the function under the module's name
     quotient_module = importlib.import_module("matchmerge.quotient")
 
@@ -407,11 +409,43 @@ def test_quotient_is_built_once_per_table_and_bound(monkeypatch, capsys):
     assert "stable under re-quotient: yes" in capsys.readouterr().out
     assert len(calls) == 2
 
+    # every class a singleton: the quotient is its own, and is not built again
+    sparse = tmp_path / "sparse.json"
+    compositions = [[p, p, p] for p in "abcdefgh"] + [["a", "b", "b"], ["c", "d", "d"]]
+    sparse.write_text(json.dumps({"elements": list("abcdefgh"), "compositions": compositions}))
+    for spec, size in (("maxnat:4", 4), (str(sparse), 8)):
+        calls.clear()
+        assert run(["quotient", spec, "--format", "machine"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["classes"]) == size and payload["stable_under_requotient"]
+        assert len(calls) == 1, spec
+
     calls.clear()
     g = FiniteGroupoid(("e",), {("e", "e"): "e"})
     assert quotient(g) is quotient(g, 3)
     assert quotient(g, 2) is not quotient(g, 3)
     assert len(calls) == 2
+
+
+def test_requotient_verdict_matches_an_explicit_second_quotient():
+    details = Counter()
+    for g in idempotent_tables():
+        if not check_property(g, Property.WORD_IDEMPOTENT, 3).holds:
+            continue
+        expected = requotient_oracle(g, 3)
+        if expected is None:
+            with pytest.raises(CongruenceError):
+                quotient_idempotence_check(g, 3)
+            continue
+        verdict = quotient_idempotence_check(g, 3)
+        assert (verdict.holds, verdict.witness, verdict.detail) == expected, g.table
+        details[verdict.detail, len(quotient(g, 3).groupoid) == len(g)] += 1
+    # discrete and collapsing partitions, stable and unstable quotients all occur
+    assert {
+        ("second quotient is the identity", True),
+        ("second quotient is the identity", False),
+        ("quotient carrier still collapses", False),
+    } <= set(details)
 
 
 def test_failed_quotient_is_not_stored(q2):
