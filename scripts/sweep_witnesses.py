@@ -26,22 +26,33 @@ closure has more than one element.  Where NR holds at ``NR_BOUND`` on a
 scrambled or sparse table, ``quotient_idempotence_check`` must give the
 verdict, the witness and the detail of ``tests/helpers.requotient_oracle``,
 which always builds the second quotient, or raise ``CongruenceError`` where
-the oracle finds no first quotient.  The first mismatch is printed and the
-sweep exits 1; otherwise it prints what it checked and exits 0.
+the oracle finds no first quotient.  On every scrambled and sparse table,
+each natural order's ``sorted_pairs()`` must be the relation of
+``tests/helpers.natural_relations`` in carrier order, its
+``order_law_audit`` must give the verdicts and witnesses of
+``tests/helpers.first_order_law_violations``, ``maximal_elements`` must give
+``tests/helpers.maximal_by_definition`` and ``full_elements``
+``tests/helpers.full_by_definition``; and ``load_groupoid`` of the table's
+``groupoid_to_document``, written to a file, must give back its carrier in
+order and its table.  The first mismatch is printed and the sweep exits 1;
+otherwise it prints what it checked and exits 0.
 
-It takes about two minutes on one core, so it is not part of the test
-suite: run it after changing a law scan, how a table's rows and columns
-are built, the order in which a scan reads the table, how the domain
-graph is covered or split, how a closure is computed, or how a quotient
-is built or checked.
+It takes a few minutes on one core, so it is not part of the test suite:
+run it after changing a law scan, how a table's rows and columns are
+built, the order in which a scan reads the table, how the domain graph is
+covered or split, how a closure is computed, how a quotient is built or
+checked, how a natural order is built or audited, or how a groupoid
+document is loaded.
 
   PYTHONPATH=src python3 scripts/sweep_witnesses.py
 """
 
 from __future__ import annotations
 
+import json
 import random
 import sys
+import tempfile
 from itertools import product
 from pathlib import Path
 
@@ -50,9 +61,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from helpers import (
     closure_by_rounds,
     first_nr_violation,
+    first_order_law_violations,
     first_violations,
+    full_by_definition,
+    maximal_by_definition,
     naive_clique_cover,
     naive_components,
+    natural_relations,
     random_groupoid,
     requotient_oracle,
 )
@@ -61,12 +76,20 @@ from matchmerge import (
     Budget,
     CongruenceError,
     FiniteGroupoid,
+    OrderVariant,
     Property,
+    Verdict,
     check_property,
     clique_cover,
     connected_components,
     domain_graph,
+    full_elements,
     generated_subgroupoid,
+    groupoid_to_document,
+    load_groupoid,
+    maximal_elements,
+    natural_order,
+    order_law_audit,
     quotient_idempotence_check,
 )
 
@@ -142,6 +165,52 @@ def requotient_mismatch(g: FiniteGroupoid) -> str | None:
     return None
 
 
+LAW_DETAILS = (
+    ("reflexive", "missing loop"),
+    ("antisymmetric", "both directions related"),
+    ("transitive", "missing composite pair"),
+)
+
+
+def order_mismatch(g: FiniteGroupoid) -> str | None:
+    """The first of the natural orders of ``g``, their law audits, maximal
+    elements and full elements that differs from the oracles, described; or
+    None when they all agree."""
+    natural = natural_relations(g)
+    full = full_by_definition(g)
+    for v in OrderVariant:
+        pairs = natural[v.value]
+        expected = tuple(pq for pq in product(g.elements, repeat=2) if pq in pairs)
+        described = f"the natural {v} order of {g.elements} {g.table}"
+        rel = natural_order(g, v)
+        if rel.sorted_pairs() != expected:
+            return f"{described}: {rel.sorted_pairs()}, oracle {expected}"
+        laws = first_order_law_violations(g.elements, pairs)
+        audit = order_law_audit(rel)
+        for law, detail in LAW_DETAILS:
+            witness = laws[law]
+            want = Verdict(True) if witness is None else Verdict(False, witness, detail)
+            if getattr(audit, law) != want:
+                return f"{law} audit of {described}: {getattr(audit, law)}, oracle {want}"
+        maximal = maximal_by_definition(g.elements, pairs)
+        if maximal_elements(g, v) != maximal:
+            return f"maximal elements of {described}: {maximal_elements(g, v)}, oracle {maximal}"
+        if full_elements(g, v) != full[v.value]:
+            got = full_elements(g, v)
+            return f"{v}-full elements of {g.elements} {g.table}: {got}, oracle {full[v.value]}"
+    return None
+
+
+def round_trip_mismatch(g: FiniteGroupoid, path: Path) -> str | None:
+    """``load_groupoid`` of ``g``'s document, written to ``path``, unless it
+    gives back ``g``'s carrier and table, described; else None."""
+    path.write_text(json.dumps(groupoid_to_document(g)), encoding="utf-8")
+    back = load_groupoid(path).groupoid
+    if back.elements != g.elements or back.table != g.table:
+        return f"round trip of {g.elements} {g.table}: {back.elements} {back.table}"
+    return None
+
+
 def mismatch(g: FiniteGroupoid, graphs: bool) -> str | None:
     """The first law on which the checker and the oracle differ, then, when
     ``graphs``, the clique cover or the components if they differ from
@@ -175,6 +244,12 @@ def mismatch(g: FiniteGroupoid, graphs: bool) -> str | None:
 
 
 def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        return sweep(Path(tmp) / "table.json")
+
+
+def sweep(document: Path) -> int:
+    """Run every batch, writing round-trip documents to ``document``."""
     batches = (
         ("three-element", three_element_tables(), False),
         ("scrambled", scrambled_tables(), True),
@@ -187,6 +262,8 @@ def main() -> int:
             count += 1
             found = mismatch(g, graphs)
             if graphs and not found:
+                found = order_mismatch(g) or round_trip_mismatch(g, document)
+            if graphs and not found:
                 found, k = closure_mismatch(g, rng)
                 stopped += k
             if graphs and not found and check_property(g, Property.WORD_IDEMPOTENT, NR_BOUND).holds:
@@ -195,7 +272,12 @@ def main() -> int:
             if found:
                 print(f"mismatch in {name} table {count}: {found}")
                 return 1
-        extra = ", clique cover, components and 3 closures" if graphs else ""
+        extra = (
+            ", natural orders with their audits, maximal and full elements, a document"
+            " round trip, clique cover, components and 3 closures"
+            if graphs
+            else ""
+        )
         print(
             f"{name}: {count} tables, {len(LAWS)} laws and NR at bound {NR_BOUND}{extra}"
             " each, all agree"

@@ -402,9 +402,7 @@ def _cmd_order(args, loaded):
             (name, getattr(audit, name)) for name in ("reflexive", "antisymmetric", "transitive")
         ]
         naturals.append((variant, ordered, laws, maximal))
-        section = payload["natural"][variant.value] = {
-            "pairs": [[p, q] for p, q in ordered], "maximal": list(maximal)
-        }
+        section = payload["natural"][variant.value] = {"pairs": ordered, "maximal": maximal}
         section.update((name, verdict.holds) for name, verdict in laws)
     # both-full is left-full and right-full, so two passes give all three
     left = order.full_elements(g, order.OrderVariant.LEFT)
@@ -421,7 +419,7 @@ def _cmd_order(args, loaded):
         except NotPartialOrderError:
             pass
         user = payload["user_order"] = {
-            "pairs": [[p, q] for p, q in user_rel.sorted_pairs()],
+            "pairs": user_rel.sorted_pairs(),
             "is_partial_order": axioms is not None,
         }
         if axioms is not None:
@@ -550,9 +548,10 @@ def _emit(value, pieces: list, indent: str) -> None:
 
 
 def _rows_of_strings(value) -> bool:
-    """Is ``value`` a sequence of non-empty lists of plain strings?"""
+    """Is ``value`` a non-empty sequence of non-empty lists or tuples of
+    plain strings?"""
     return (
-        set(map(type, value)) == {list}
+        set(map(type, value)) <= {list, tuple}
         and all(value)
         and set(map(type, itertools.chain.from_iterable(value))) == {str}
     )

@@ -107,8 +107,29 @@ def _groupoid_document(data, path) -> GroupoidDocument:
         "'elements' must be an array of strings",
     )
     _expect(isinstance(compositions, list), path, "'compositions' must be an array")
+    # Whole-array checks first: every entry a list of three, no pair twice,
+    # and (in FiniteGroupoid) every id in the carrier, so a string.  When a
+    # check fails, ``_checked_groupoid`` names the first bad entry.
+    groupoid = None
+    try:
+        table = {(x, y): v for x, y, v in compositions}
+        if len(table) == len(compositions) and set(map(type, compositions)) <= {list}:
+            groupoid = FiniteGroupoid(tuple(elements), table)
+    except (TypeError, ValueError):
+        pass
+    if groupoid is None:
+        groupoid = _checked_groupoid(elements, compositions, path)
+    order_pairs = None
+    if "order" in data:
+        order_pairs = _pairs(data["order"], path, "order", "p, q", groupoid)
+    return GroupoidDocument(groupoid, order_pairs)
+
+
+def _checked_groupoid(elements, compositions, path) -> FiniteGroupoid:
+    """The groupoid of ``compositions``, checked entry by entry: the first
+    malformed or repeated entry is a load error, and then whatever
+    ``FiniteGroupoid`` refuses."""
     table = {}
-    # runs once per composition: indexed tests, and messages built only on failure
     for i, entry in enumerate(compositions):
         if not (
             isinstance(entry, list)
@@ -123,14 +144,9 @@ def _groupoid_document(data, path) -> GroupoidDocument:
             raise LoadError(path, f"compositions[{i}] repeats the pair ({x!r}, {y!r})")
         table[(x, y)] = value
     try:
-        groupoid = FiniteGroupoid(tuple(elements), table)
+        return FiniteGroupoid(tuple(elements), table)
     except ValueError as exc:
         raise LoadError(path, str(exc)) from exc
-
-    order_pairs = None
-    if "order" in data:
-        order_pairs = _pairs(data["order"], path, "order", "p, q", groupoid)
-    return GroupoidDocument(groupoid, order_pairs)
 
 
 def groupoid_to_document(g: FiniteGroupoid, order_pairs=None) -> dict:

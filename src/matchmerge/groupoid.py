@@ -108,12 +108,12 @@ class FiniteGroupoid:
             position[e] = i
         table = dict(self.table)
         for (x, y), v in table.items():
-            for e in (x, y, v):
-                if e not in position:
-                    raise ValueError(
-                        f"composition ({x!r}, {y!r}) -> {v!r} mentions {e!r},"
-                        " which is outside the carrier"
-                    )
+            if x not in position or y not in position or v not in position:
+                e = next(e for e in (x, y, v) if e not in position)
+                raise ValueError(
+                    f"composition ({x!r}, {y!r}) -> {v!r} mentions {e!r},"
+                    " which is outside the carrier"
+                )
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_position", position)

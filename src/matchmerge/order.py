@@ -68,11 +68,15 @@ class OrderRelation:
         return pair in self.pairs
 
     def sorted_pairs(self) -> tuple[Pair, ...]:
-        """The pairs in carrier order, sorted on the first request and stored."""
+        """The pairs in carrier order, sorted on the first request and stored.
+
+        Pair ``(p, q)`` sorts by the integer code ``i * n + j``, where ``p``
+        and ``q`` sit at ``i`` and ``j`` in the ``n``-element carrier."""
         if self._sorted is None:
             index = {e: i for i, e in enumerate(self.carrier)}
-            ordered = sorted(self.pairs, key=lambda pq: (index[pq[0]], index[pq[1]]))
-            object.__setattr__(self, "_sorted", tuple(ordered))
+            n = len(self.carrier)
+            by_code = {index[pq[0]] * n + index[pq[1]]: pq for pq in self.pairs}
+            object.__setattr__(self, "_sorted", tuple(map(by_code.__getitem__, sorted(by_code))))
         return self._sorted
 
 
@@ -136,18 +140,32 @@ def natural_order(g: FiniteGroupoid, variant: OrderVariant) -> OrderRelation:
     ``q o p = q`` the left pair ``(p, q)``; ``BOTH`` is their intersection.
     The first request reads all three variants in one pass over ``g.table``
     and stores them on ``g``, which relies on the table never changing.
+
+    Each relation's ``sorted_pairs()`` is in carrier order by construction:
+    the pass files each pair under its code ``i * n + j`` (``p`` and ``q``
+    at ``i`` and ``j`` in the ``n``-element carrier), each side's codes are
+    sorted once, and ``BOTH`` keeps the left codes, in order, that the right
+    side also has.
     """
     variant = OrderVariant(variant)
     memo = g._derived
     if variant not in memo:
-        right, left = set(), set()
+        position, n = g._position, len(g.elements)
+        right, left = {}, {}  # code -> pair
         for (p, q), v in g.table.items():
             if v == q:
-                right.add((p, q))
+                right[position[p] * n + position[q]] = p, q
             if v == p:
-                left.add((q, p))
-        for v, pairs in zip(OrderVariant, (left, right, left & right)):
-            memo[v] = OrderRelation(g.elements, frozenset(pairs), f"natural:{v.value}")
+                left[position[q] * n + position[p]] = q, p
+        left_codes = sorted(left)
+        sides = (
+            tuple(map(left.__getitem__, left_codes)),
+            tuple(map(right.__getitem__, sorted(right))),
+            tuple(left[c] for c in left_codes if c in right),
+        )
+        for v, ordered in zip(OrderVariant, sides):
+            memo[v] = rel = OrderRelation(g.elements, frozenset(ordered), f"natural:{v.value}")
+            object.__setattr__(rel, "_sorted", ordered)
     return memo[variant]
 
 
@@ -162,7 +180,7 @@ def order_law_audit(rel: OrderRelation) -> OrderLawAudit:
     both_ways = next(((x, y) for x, y in ordered if x != y and (y, x) in rel.pairs), None)
     # (x, y) breaks transitivity when y sits below some z that x does not
     up = {x: set() for x in rel.carrier}
-    for x, z in rel.pairs:
+    for x, z in ordered:
         up[x].add(z)
     gap = None
     for x, y in ordered:

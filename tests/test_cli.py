@@ -568,8 +568,11 @@ def test_order_sorts_each_relation_once_and_scans_each_side_once(capsys, monkeyp
     monkeypatch.setattr(order_module, "full_elements", counting_full)
     code, out, _ = invoke(capsys, "order", "fixtures/twoblock", "--format", "machine")
     assert code == 0
-    # one sort per natural relation, shared by its section and its law audit
-    assert len(sorts) == 3
+    # one sort of integer codes per side, left and right; the two-sided
+    # relation keeps the left codes in order, and each section and law
+    # audit reads the stored pairs
+    assert len(sorts) == 2
+    assert all(set(map(type, *args)) == {int} for args in sorts)
     # both-full is the intersection of the left and right scans
     assert [str(side) for side in scans] == ["left", "right"]
     full = full_by_definition(load_groupoid("fixtures/twoblock.json").groupoid)

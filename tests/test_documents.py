@@ -49,6 +49,14 @@ def test_duplicate_composition_pair_is_a_load_error(tmp_path):
     assert "repeats" in str(err.value)
 
 
+def assert_load_error(tmp_path, loader, payload, message):
+    # a payload of None writes no file
+    path = str(tmp_path / "doc.json") if payload is None else write(tmp_path, "doc.json", payload)
+    with pytest.raises(LoadError) as err:
+        loader(path)
+    assert str(err.value) == f"{path}: {message.format(path=path)}"
+
+
 @pytest.mark.parametrize(
     "loader, payload, message",
     [
@@ -157,11 +165,69 @@ def test_duplicate_composition_pair_is_a_load_error(tmp_path):
     ],
 )
 def test_load_error_messages(tmp_path, loader, payload, message):
-    # a payload of None writes no file
-    path = str(tmp_path / "doc.json") if payload is None else write(tmp_path, "doc.json", payload)
-    with pytest.raises(LoadError) as err:
-        loader(path)
-    assert str(err.value) == f"{path}: {message.format(path=path)}"
+    assert_load_error(tmp_path, loader, payload, message)
+
+
+# entry shapes that unpack, or fail, differently in a comprehension
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (
+            {"elements": ["a", "b", "c"], "compositions": [["a", "a", "a"], "abc"]},
+            "compositions[1] must be a [x, y, result] triple of strings",
+        ),
+        (
+            {"elements": ["a", "b", "c"], "compositions": [{"a": 1, "b": 2, "c": 3}]},
+            "compositions[0] must be a [x, y, result] triple of strings",
+        ),
+        (
+            {"elements": ["a"], "compositions": [["a", "a", "a"], [1, 2, 3]]},
+            "compositions[1] must be a [x, y, result] triple of strings",
+        ),
+        (
+            {"elements": ["a"], "compositions": [["a", "a"], ["a", "a", "a"]]},
+            "compositions[0] must be a [x, y, result] triple of strings",
+        ),
+        (
+            {"elements": ["a"], "compositions": [["a", "a", "a"], [["a"], "a", "a"]]},
+            "compositions[1] must be a [x, y, result] triple of strings",
+        ),
+        (
+            {"elements": ["a"], "compositions": [["a", "a", ["a"]]]},
+            "compositions[0] must be a [x, y, result] triple of strings",
+        ),
+        (
+            {"elements": ["a"], "compositions": [["a", "a", "a"], ["a", "a", "a"], [1, 2, 3]]},
+            "compositions[1] repeats the pair ('a', 'a')",
+        ),
+        (
+            {"elements": ["a"], "compositions": [["a", "zz", "a"], "abc"]},
+            "compositions[1] must be a [x, y, result] triple of strings",
+        ),
+        (
+            {"elements": ["a", "b"], "compositions": [["a", "a", "b"], ["a", "b", "zz"]]},
+            "composition ('a', 'b') -> 'zz' mentions 'zz', which is outside the carrier",
+        ),
+        (
+            {"elements": ["a"], "compositions": [["yy", "a", "zz"], ["a", "xx", "a"]]},
+            "composition ('yy', 'a') -> 'zz' mentions 'yy', which is outside the carrier",
+        ),
+        (
+            {"elements": ["a", ["b"]], "compositions": [["a", "a", "a"]]},
+            "'elements' must be an array of strings",
+        ),
+        (
+            {"elements": ["a", "a"], "compositions": [["a", "a", "a"]]},
+            "duplicate element 'a' in carrier",
+        ),
+        (
+            {"elements": [], "compositions": [["a", "a", "a"], [1, 2, 3]]},
+            "compositions[1] must be a [x, y, result] triple of strings",
+        ),
+    ],
+)
+def test_composition_entry_error_messages(tmp_path, payload, message):
+    assert_load_error(tmp_path, load_groupoid, payload, message)
 
 
 def test_composition_outside_carrier_is_a_load_error(tmp_path):

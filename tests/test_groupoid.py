@@ -63,6 +63,29 @@ def test_table_values_must_stay_in_carrier():
         FiniteGroupoid(("a",), {("a", "a"): "z"})
 
 
+def test_first_foreign_operand_or_value_in_table_order_is_named():
+    cases = (
+        ({("a", "a"): "x", ("y", "a"): "a"}, "composition ('a', 'a') -> 'x' mentions 'x'"),
+        ({("y", "a"): "a", ("a", "a"): "x"}, "composition ('y', 'a') -> 'a' mentions 'y'"),
+        ({("a", "x"): "y"}, "composition ('a', 'x') -> 'y' mentions 'x'"),
+        ({("a", "a"): "a", ("b", "a"): "zz"}, "composition ('b', 'a') -> 'zz' mentions 'zz'"),
+    )
+    for table, message in cases:
+        with pytest.raises(ValueError) as err:
+            FiniteGroupoid(("a", "b"), table)
+        assert str(err.value) == message + ", which is outside the carrier"
+
+
+def test_unhashable_table_value_raises_type_error_in_table_order():
+    with pytest.raises(TypeError):
+        FiniteGroupoid(("a",), {("a", "a"): ["a"]})
+    with pytest.raises(TypeError):
+        FiniteGroupoid(("a", "b"), {("a", "a"): ["a"], ("b", "a"): "zz"})
+    # a foreign id met first is named, as it is met first
+    with pytest.raises(ValueError, match="mentions 'zz'"):
+        FiniteGroupoid(("a", "b"), {("b", "a"): "zz", ("a", "a"): ["a"]})
+
+
 def test_duplicate_elements_rejected():
     with pytest.raises(ValueError):
         FiniteGroupoid(("a", "a"), {})

@@ -77,6 +77,22 @@ def test_relation_rejects_foreign_pairs(p1):
         OrderRelation(p1.elements, frozenset({("a", "zz")}))
 
 
+def test_sorted_pairs_follow_the_relation_carrier_order():
+    rng = random.Random(7)
+    for size in (1, 2, 11, 40):
+        for _ in range(5):
+            carrier = [f"e{i}" for i in range(size)]
+            rng.shuffle(carrier)
+            pairs = random_relation(rng, carrier)
+            index = {e: i for i, e in enumerate(carrier)}
+            expected = sorted(pairs, key=lambda pq: (index[pq[0]], index[pq[1]]))
+            assert OrderRelation(tuple(carrier), frozenset(pairs)).sorted_pairs() == tuple(expected)
+            foreign = (carrier[-1], "zz")
+            with pytest.raises(ValueError) as err:
+                OrderRelation(tuple(carrier), frozenset(pairs) | {foreign})
+            assert str(err.value) == f"relation pair ({carrier[-1]!r}, 'zz') leaves the carrier"
+
+
 def test_relation_contains_exactly_its_pairs(p1):
     relation = OrderRelation(p1.elements, frozenset({("a", "b")}))
     assert ("a", "b") in relation
@@ -475,6 +491,8 @@ def test_order_layer_matches_the_oracles():
         for v in OrderVariant:
             rel = natural_order(g, v)
             assert rel.pairs == natural[v.value], (v, g.table)
+            carrier_order = itertools.product(g.elements, repeat=2)
+            assert rel.sorted_pairs() == tuple(pq for pq in carrier_order if pq in rel.pairs)
             assert rel.provenance == f"natural:{v.value}"
             assert maximal_elements(g, v) == maximal_by_definition(g.elements, natural[v.value])
             assert full_elements(g, v) == full[v.value], (v, g.table)
