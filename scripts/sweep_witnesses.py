@@ -10,7 +10,7 @@ idempotent tables of 10 to 16 elements at densities up to 0.05, likewise
 scrambled.  Few scrambled tables hold SA across many cells; of the sparse
 ones about one in eight holds it with most cells undefined, and more than
 a third fail it only where one grouping is undefined: the cases in which
-the triple scan decides SA by counting.  On each table, every law but NR is
+the chain walk decides SA by counting.  On each table, every law but NR is
 checked on a fresh ``FiniteGroupoid`` and must give the verdict and the
 witness of ``tests/helpers.first_violations``, and NR at word bound
 ``NR_BOUND`` those of ``tests/helpers.first_nr_violation``.  On the
@@ -37,9 +37,9 @@ each natural order's ``sorted_pairs()`` must be the relation of
 order and its table.  The first mismatch is printed and the sweep exits 1;
 otherwise it prints what it checked and exits 0.
 
-It takes a few minutes on one core, so it is not part of the test suite:
-run it after changing a law scan, how a table's rows and columns are
-built, the order in which a scan reads the table, how the domain graph is
+It takes a few minutes on one core, so it is not part of the test suite
+(CI runs it as a job of its own): run it after changing a law scan, how a
+table's rows are built, the order in which a scan reads the table, how the domain graph is
 covered or split, how a closure is computed, how a quotient is built or
 checked, how a natural order is built or audited, or how a groupoid
 document is loaded.

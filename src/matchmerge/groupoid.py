@@ -29,7 +29,7 @@ from .errors import (
 
 ElementId = str
 Pair = tuple[ElementId, ElementId]
-Line = dict[ElementId, ElementId]  # a row's y -> x o y, or a column's x -> x o y
+Line = dict[ElementId, ElementId]  # a row's y -> x o y
 
 CLOSED = "closed"
 BUDGET_EXHAUSTED = "budget_exhausted"
@@ -69,15 +69,14 @@ class FiniteGroupoid:
     _derived: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    # The defined entries filed by operand, ``rows[x] = {y: x o y}`` and
-    # ``columns[y] = {x: x o y}``, with every carrier element keyed and each
-    # line in carrier order: the entries are bucketed by column, the buckets
-    # walked in carrier order to fill the rows, and the rows walked in
-    # carrier order to fill the columns, so no pass sorts.  Made on the
-    # first request of a line, and kept for the table's life, which is
-    # valid only because ``table`` never changes.  Closure does not file.
+    # The defined entries filed by left operand, ``rows[x] = {y: x o y}``,
+    # with every carrier element keyed and each row in carrier order: the
+    # entries are bucketed by column and the buckets walked in carrier order
+    # to fill the rows, so no pass sorts.  Made on the first request, and
+    # kept for the table's life, which is valid only because ``table`` never
+    # changes.  Closure does not file.
     @cached_property
-    def _filing(self) -> tuple[dict[ElementId, Line], dict[ElementId, Line]]:
+    def _rows(self) -> dict[ElementId, Line]:
         elements = self.elements
         buckets: dict[ElementId, list] = {e: [] for e in elements}  # y -> [(x, x o y)]
         for (x, y), xy in self.table.items():
@@ -86,14 +85,7 @@ class FiniteGroupoid:
         for y, bucket in buckets.items():
             for x, xy in bucket:
                 rows[x][y] = xy
-        columns: dict[ElementId, Line] = {e: {} for e in elements}
-        for x, row in rows.items():
-            for y, xy in row.items():
-                columns[y][x] = xy
-        return rows, columns
-
-    _rows = property(lambda self: self._filing[0])
-    _columns = property(lambda self: self._filing[1])
+        return rows
 
     def __post_init__(self):
         elements = tuple(self.elements)

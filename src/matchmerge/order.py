@@ -246,9 +246,10 @@ def check_order_axioms(g: FiniteGroupoid, rel: OrderRelation) -> OrderAxiomsRepo
     if not audit.is_partial_order:
         raise NotPartialOrderError("relation is not a partial order", audit)
     g.require_all(rel.carrier)
+    rows = g._rows
 
     def lub() -> Verdict:
-        for p1, row in g._rows.items():
+        for p1, row in rows.items():
             for p2, c in row.items():
                 if (p1, c) not in rel.pairs or (p2, c) not in rel.pairs:
                     return Verdict(False, (p1, p2), "composition is not an upper bound")
@@ -258,7 +259,16 @@ def check_order_axioms(g: FiniteGroupoid, rel: OrderRelation) -> OrderAxiomsRepo
         return Verdict(True)
 
     # In g's carrier order, which a relation's own carrier need not follow.
-    ordered = sorted(rel.pairs, key=lambda pq: (g._position[pq[0]], g._position[pq[1]]))
+    if rel.carrier == g.elements:
+        ordered = rel.sorted_pairs()
+    else:
+        position, n, elements = g._position, len(g), g.elements
+        codes = sorted(position[p] * n + position[q] for p, q in rel.pairs)
+        ordered = [(elements[c // n], elements[c % n]) for c in codes]
+    columns = {e: {} for e in g.elements}  # columns[y] = {x: x o y}, in carrier order
+    for x, row in rows.items():
+        for y, xy in row.items():
+            columns[y][x] = xy
 
     def compat(lines) -> Verdict:
         # p1 <= p2 must carry each defined entry of p1's line to a defined,
@@ -273,7 +283,7 @@ def check_order_axioms(g: FiniteGroupoid, rel: OrderRelation) -> OrderAxiomsRepo
                     return Verdict(False, (p1, p2, p), "compositions not related")
         return Verdict(True)
 
-    return OrderAxiomsReport(lub(), compat(g._columns), compat(g._rows))
+    return OrderAxiomsReport(lub(), compat(columns), compat(rows))
 
 
 def order_characterization(g: FiniteGroupoid, rel: OrderRelation) -> OrderCharacterization:
@@ -335,11 +345,10 @@ def _characterization(
     failed_properties = tuple(str(p) for p in ICAR if not check_property(g, p).holds)
 
     natural = natural_order(g, OrderVariant.BOTH)
-    index = g._position
-    discrepancy = min(
-        rel.pairs ^ natural.pairs, key=lambda pq: (index[pq[0]], index[pq[1]]), default=None
-    )
-    matches = discrepancy is None
+    index, n, elements = g._position, len(g), g.elements
+    first = min((index[p] * n + index[q] for p, q in rel.pairs ^ natural.pairs), default=None)
+    matches = first is None
+    discrepancy = None if matches else (elements[first // n], elements[first % n])
 
     return OrderCharacterization(
         axioms_hold=not failed_axioms,

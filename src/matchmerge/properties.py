@@ -4,13 +4,12 @@ Each family of laws is decided by one scan (of elements, pairs, triples, or
 bounded words), which reports the first violation of each law in carrier
 order as a replayable witness, so two runs on the same input always return
 the same verdict.  Each scan costs what can fail, not the carrier: the pair
-scan is one pass over the defined entries; the other scans read the filing
-each table keeps (made on the first request, without a sort: every row
-``{y: x o y}`` and column ``{x: x o y}`` as a dict in carrier order).  The
-representativity scan decides each defined pair by two subset tests of
-line keys; the triple scan walks the defined chains, two line lookups
-each, and decides SA off the chains by counting; NR builds its defined
-words from shorter defined words one first letter at a time.
+scan is one pass over the defined entries; the other scans read the rows
+each table files (on the first request, without a sort: every row
+``{y: x o y}`` as a dict in carrier order).  One walk of the defined chains
+decides Rl, Rr, R, A, CA and SA, two row lookups per chain, with SA off the
+chains decided by counting; NR builds its defined words from shorter
+defined words one first letter at a time.
 
 Idempotence and strong associativity together imply word idempotence (NR)
 at every bound.  Under SA both groupings of any three factors are defined
@@ -127,71 +126,72 @@ def _scan_pairs(g: FiniteGroupoid):
     return tuple(None if w is None else (elements[w[0]], elements[w[1]]) for w in (s, c, sc))
 
 
-def _scan_representativity(g: FiniteGroupoid):
-    """Rl: (p, p1) and (p1, p2) defined => (p, p1 o p2) defined.
-    Rr, its dual: (p1, p2) and (p2, p) defined => (p1 o p2, p) defined.
+def _scan_chains(g: FiniteGroupoid):
+    """On a chain (p1, p2, p3), where ab = p1 o p2 and bc = p2 o p3 are
+    defined, the left grouping is ab o p3 and the right one p1 o bc.
+    Rl: (p, q) and (q, r) defined => (p, q o r) defined.  It fails on a
+    chain whose right grouping is undefined, with witness (p2, p3, p1).
+    Rr, its dual, fails on a chain whose left grouping is undefined.
     R: both; its witness is Rl's, else Rr's.
-
-    With c = p1 o p2, Rl holds at (p1, p2) exactly when the operands of
-    p1's column are among those of c's column, and Rr exactly when the
-    operands of p2's row are among those of c's row: one subset test of two
-    filed lines' keys each, for each defined (p1, p2) in carrier order, and
-    none where c is p1 (for Rl) or p2 (for Rr).  Only a failing test walks
-    its line, against c's, for the first p missing from it, so the scan
-    makes no table lookup."""
-    rows, columns = g._rows, g._columns
-    left = right = None
-    for p1, row in rows.items():
-        column = columns[p1]
-        for p2, c in row.items():
-            if left is None and c != p1 and not column.keys() <= columns[c].keys():
-                missing = columns[c]
-                left = next((p1, p2, p) for p in column if p not in missing)
-            if right is None and c != p2 and not rows[p2].keys() <= rows[c].keys():
-                missing = rows[c]
-                right = next((p1, p2, p) for p in rows[p2] if p not in missing)
-            if left and right:
-                return left, right, left
-    return left, right, left or right
-
-
-def _scan_triples(g: FiniteGroupoid):
-    """With ab = p1 o p2 and bc = p2 o p3:
     A: when both full groupings are defined, they agree.
-    CA: when ab and bc are defined, both groupings are defined and agree.
+    CA: on every chain both groupings are defined and agree.
     SA: both groupings defined and equal, or both undefined.
 
-    A and CA can fail only on a chain, where ab and bc are defined: for each
-    p1 the scan walks p1's row and, for each entry (p2, ab), p2's row, from
-    the table's filing, and reads the two groupings off ab's row and p1's
-    row, two lookups per chain.  SA can fail off the chains too, where one
-    grouping is defined and the other is not, and is decided by counting.
-    The left grouping is defined at the p3 of ab's row, and the right one
-    at the entries (p2, p3) whose value is an operand of p1's row; every
-    chain on which both are defined and agree takes one of each, and SA
-    holds at p1 exactly when those chains take them all.  Only a p1 where
-    the count falls short, or where A fails first, is searched for the
-    least failing (p2, p3)."""
-    rows = g._rows
+    Every law but SA can fail only on a chain: for each p1 the scan walks
+    p1's row and, for each entry (p2, ab), p2's row, and reads the two
+    groupings off ab's row and p1's row, two lookups per chain.  The walk
+    meets the chains in carrier order, which orders the witnesses of Rr, A
+    and CA; Rl's is the least by the code pos(p2) * n + pos(p3), the first
+    found on a tie.  SA can fail off the chains too, where one grouping is
+    defined and the other is not, and is decided by counting.  The left
+    grouping is defined at the p3 of ab's row, and the right one at the
+    entries (p2, p3) whose value is an operand of p1's row; every chain on
+    which both are defined and agree takes one of each, and SA holds at p1
+    exactly when those chains take them all.  Only a p1 where the count
+    falls short, or where A fails first, is searched for the least failing
+    (p2, p3).
+
+    Once A has failed only R is left, so the walk skips each (p1, p2) whose
+    chains all have both groupings defined (p2's row keys are among ab's,
+    and p2's row values among p1's row keys), and once Rr has failed too it
+    stops each row after the p2 of Rl's least witness so far, past which no
+    chain can give a lesser one."""
+    rows, position, n = g._rows, g._position, len(g)
     valued = Counter(g.table.values())
-    ca = sa = None
+    a = ca = sa = rl = rr = ranges = None
+    least = last = n * n  # Rl's least code so far, and the last p2 a row walks to
     for p1, row in rows.items():
         held = 0
         for p2, ab in row.items():
-            grouped = rows[ab]
-            for p3, bc in rows[p2].items():
+            line, grouped = rows[p2], rows[ab]
+            if a is not None:
+                if position[p2] > last:
+                    break
+                if line.keys() <= grouped.keys() and row.keys() >= ranges[p2]:
+                    continue
+            for p3, bc in line.items():
                 left, right = grouped.get(p3), row.get(bc)
                 if left == right and left is not None:
                     held += 1
                     continue
                 w = (p1, p2, p3)
                 ca = ca or w
-                if left is not None and right is not None:
-                    # both groupings defined and different: A, CA and SA all fail
-                    return w, ca, sa or _first_strong_failure(g, p1)
+                if left is None:
+                    rr = rr or w
+                if right is None:
+                    code = position[p2] * n + position[p3]
+                    if code < least:
+                        rl, least = (p2, p3, p1), code
+                elif left is not None and a is None:
+                    # both groupings defined and different: A, CA and SA all fail;
+                    # from here on each row's values are tested as a set
+                    a, sa = w, sa or _first_strong_failure(g, p1)
+                    ranges = {x: set(r.values()) for x, r in rows.items()}
+                if a is not None and rr is not None:
+                    last = least // n
         if sa is None and 2 * held < sum(len(rows[ab]) + valued[p2] for p2, ab in row.items()):
             sa = _first_strong_failure(g, p1)
-    return None, ca, sa
+    return rl, rr, rl or rr, a, ca, sa
 
 
 def _first_strong_failure(g: FiniteGroupoid, p1):
@@ -213,10 +213,6 @@ def _first_strong_failure(g: FiniteGroupoid, p1):
             return p1, p2, min(failing, key=position.__getitem__)
 
 
-def _triple_universe(n: int) -> str:
-    return f"{n} elements, {n ** 3} triples"
-
-
 # (laws, scan returning their witnesses in that order, universe of n elements)
 _FAMILIES = (
     ((Property.IDEMPOTENT,), _scan_idempotence, lambda n: f"{n} elements"),
@@ -226,14 +222,10 @@ _FAMILIES = (
         lambda n: f"{n} elements, {n * n} ordered pairs",
     ),
     (
-        (Property.LEFT_REPRESENTATIVE, Property.RIGHT_REPRESENTATIVE, Property.REPRESENTATIVE),
-        _scan_representativity,
-        _triple_universe,
-    ),
-    (
-        (Property.ASSOCIATIVE, Property.CATENARY_ASSOCIATIVE, Property.STRONGLY_ASSOCIATIVE),
-        _scan_triples,
-        _triple_universe,
+        (Property.LEFT_REPRESENTATIVE, Property.RIGHT_REPRESENTATIVE, Property.REPRESENTATIVE)
+        + (Property.ASSOCIATIVE, Property.CATENARY_ASSOCIATIVE, Property.STRONGLY_ASSOCIATIVE),
+        _scan_chains,
+        lambda n: f"{n} elements, {n ** 3} triples",
     ),
 )
 
@@ -303,9 +295,9 @@ def check_property(
     """Exhaustively audit one axiom; deterministic first witness on failure.
 
     The laws are decided by family, one scan each: I over elements; S, C
-    and SC over defined entries; Rl, Rr and R over defined pairs, by line
-    keys; A, CA and SA over defined chains, with SA off the chains
-    counted; NR from I and SA, else over words up to
+    and SC over defined entries; Rl, Rr, R, A, CA and SA over defined
+    chains, with SA off the chains counted; NR from I and SA, else over
+    words up to
     ``nr_word_bound``, per bound.  The first request for any law of a
     family runs its scan and stores every verdict of the family on ``g``;
     later requests on the same object read the stored verdict.  This relies

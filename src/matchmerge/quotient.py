@@ -115,17 +115,20 @@ def quotient(g: FiniteGroupoid, nr_word_bound: int = DEFAULT_WORD_BOUND) -> Quot
 
     The first request per word bound stores the result on ``g`` and later
     ones return it, which relies on ``g.table`` never changing.  When every
-    class is a singleton the quotient has ``g``'s table, so it is its own
-    quotient at this bound, and that is stored on it too.
+    class is a singleton the quotient is ``g`` itself, which is therefore its
+    own quotient at this bound.
     """
     memo_key = ("quotient", nr_word_bound)
     if memo_key in g._derived:
         return g._derived[memo_key]
     classes = congruence_classes(g, nr_word_bound)
     rep = {e: r for cls, r in zip(classes.classes, classes.representatives) for e in cls}
-    carrier = tuple(r for r in g.elements if rep[r] == r)
-    table = {(rep[x], rep[y]): rep[v] for (x, y), v in g.table.items()}
-    quotient_groupoid = FiniteGroupoid(carrier, table)
+    if len(classes.classes) == len(g):
+        quotient_groupoid = g
+    else:
+        carrier = tuple(r for r in g.elements if rep[r] == r)
+        table = {(rep[x], rep[y]): rep[v] for (x, y), v in g.table.items()}
+        quotient_groupoid = FiniteGroupoid(carrier, table)
     projection = Homomorphism(g, quotient_groupoid, rep)
     if (
         check_property(g, Property.SYMMETRIC).holds
@@ -138,10 +141,6 @@ def quotient(g: FiniteGroupoid, nr_word_bound: int = DEFAULT_WORD_BOUND) -> Quot
                 f" witness {comm.witness!r}"
             )
     g._derived[memo_key] = QuotientGroupoid(quotient_groupoid, projection, classes)
-    if len(carrier) == len(g):
-        quotient_groupoid._derived[memo_key] = QuotientGroupoid(
-            quotient_groupoid, Homomorphism(quotient_groupoid, quotient_groupoid, rep), classes
-        )
     return g._derived[memo_key]
 
 

@@ -550,21 +550,26 @@ def test_order_builds_each_natural_relation_once(capsys, monkeypatch):
     ]
 
 
-def test_order_sorts_each_relation_once_and_scans_each_side_once(capsys, monkeypatch):
+def test_order_sorts_each_relation_once_and_scans_each_side_once(capsys, monkeypatch, tmp_path):
     import matchmerge.order as order_module
 
-    sorts, scans = [], []
+    sorts, mins, scans = [], [], []
     full_elements = order_module.full_elements
 
     def counting_sorted(*args, **kwargs):
-        sorts.append(args)
+        sorts.append((args, kwargs))
         return sorted(*args, **kwargs)
+
+    def counting_min(*args, **kwargs):
+        mins.append(kwargs)
+        return min(*args, **kwargs)
 
     def counting_full(g, side):
         scans.append(side)
         return full_elements(g, side)
 
     monkeypatch.setattr(order_module, "sorted", counting_sorted, raising=False)
+    monkeypatch.setattr(order_module, "min", counting_min, raising=False)
     monkeypatch.setattr(order_module, "full_elements", counting_full)
     code, out, _ = invoke(capsys, "order", "fixtures/twoblock", "--format", "machine")
     assert code == 0
@@ -572,12 +577,31 @@ def test_order_sorts_each_relation_once_and_scans_each_side_once(capsys, monkeyp
     # relation keeps the left codes in order, and each section and law
     # audit reads the stored pairs
     assert len(sorts) == 2
-    assert all(set(map(type, *args)) == {int} for args in sorts)
+    assert all(set(map(type, *args)) == {int} and not kwargs for args, kwargs in sorts)
     # both-full is the intersection of the left and right scans
     assert [str(side) for side in scans] == ["left", "right"]
     full = full_by_definition(load_groupoid("fixtures/twoblock.json").groupoid)
     assert json.loads(out)["full"] == {side: list(members) for side, members in full.items()}
     assert full["both"] == ("u", "v")
+
+    # a user order on the table's carrier is sorted once more, by integer
+    # code, and its law audit, compatibility laws and characterization all
+    # read that order; the first discrepancy is the least code, unkeyed
+    sorts.clear()
+    elements = [str(i) for i in range(6)]
+    doc = {
+        "elements": elements,
+        "compositions": [[x, y, max(x, y)] for x in elements for y in elements],
+        "order": [[x, y] for x in elements for y in elements if x <= y],
+    }
+    path = tmp_path / "maxnat6.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = invoke(capsys, "order", str(path), "--format", "machine")
+    assert code == 0
+    assert json.loads(out)["user_order"]["characterization"]["consistent"] is True
+    assert len(sorts) == 3
+    assert all(set(map(type, *args)) == {int} and not kwargs for args, kwargs in sorts)
+    assert mins == [{"default": None}]
 
 
 def test_sized_builtin_spec(capsys):

@@ -139,12 +139,10 @@ class _CountingTable(dict):
 
 
 def _filed_by_definition(g: FiniteGroupoid):
-    """The rows and columns of ``g``, each a list of its (operand, value)
-    entries in carrier order, from a comprehension over ``g.table``."""
+    """The rows of ``g``, each a list of its (operand, value) entries in
+    carrier order, from a comprehension over ``g.table``."""
     e, table = g.elements, g.table
-    rows = {x: [(y, table[x, y]) for y in e if (x, y) in table] for x in e}
-    columns = {y: [(x, table[x, y]) for x in e if (x, y) in table] for y in e}
-    return rows, columns
+    return {x: [(y, table[x, y]) for y in e if (x, y) in table] for x in e}
 
 
 def _listed(lines):
@@ -157,12 +155,12 @@ def test_every_row_and_column_costs_its_entries_not_the_carrier():
     g = builtin("chain", 48)
     log = []
     object.__setattr__(g, "table", _CountingTable(g.table, log))
-    rows, columns = g._filing
-    # all the lines together read each defined entry once, and no other pair
+    rows = g._rows
+    # all the rows together read each defined entry once, and no other pair
     assert sorted(log) == sorted(g.table)
-    # the lines are plain dicts of the table's entries, keyed in carrier order
-    assert all(type(line) is dict for line in [*rows.values(), *columns.values()])
-    assert (_listed(rows), _listed(columns)) == _filed_by_definition(g)
+    # the rows are plain dicts of the table's entries, keyed in carrier order
+    assert all(type(line) is dict for line in rows.values())
+    assert _listed(rows) == _filed_by_definition(g)
 
 
 def test_filing_matches_a_comprehension_over_the_table_order_included():
@@ -184,9 +182,9 @@ def test_filing_matches_a_comprehension_over_the_table_order_included():
         scrambled = FiniteGroupoid(g.elements, dict(entries))
         subset = rng.sample(g.elements, rng.randint(1, len(g)))
         for h in (scrambled, scrambled.restrict(subset)):
-            rows, columns = h._filing
-            assert list(rows) == list(columns) == list(h.elements)
-            assert (_listed(rows), _listed(columns)) == _filed_by_definition(h)
+            rows = h._rows
+            assert list(rows) == list(h.elements)
+            assert _listed(rows) == _filed_by_definition(h)
             unordered += list(h.table) != [(x, y) for x, y in h.pairs() if (x, y) in h.table]
     # the tables' own entry order is almost never carrier order
     assert unordered > len(tables)
@@ -260,9 +258,9 @@ def test_a_restriction_reads_only_its_rows_once_the_table_is_filed():
     g = builtin("uchain", 48)
     log = []
     object.__setattr__(g, "table", _CountingTable(g.table, log))
-    rows, columns = g._filing
+    rows = g._rows
     log.clear()
-    vars(g)["_filing"] = (_CountingRows(rows, log), columns)
+    vars(g)["_rows"] = _CountingRows(rows, log)
     kept = ("a30", "a7", "a8", "a9")
     sub = g.restrict(kept)
     # the k kept rows, in the subset's order, and no entry of the table
@@ -275,10 +273,10 @@ def test_a_restriction_reads_only_its_rows_once_the_table_is_filed():
 
 def test_a_report_files_a_table_once_and_a_closure_after_it_files_nothing(monkeypatch):
     filed = []
-    original = FiniteGroupoid._filing.func
-    monkeypatch.setattr(FiniteGroupoid._filing, "func", lambda g: filed.append(g) or original(g))
+    original = FiniteGroupoid._rows.func
+    monkeypatch.setattr(FiniteGroupoid._rows, "func", lambda g: filed.append(g) or original(g))
     g = builtin("uchain", 12)
-    property_report(g, 3)  # reads rows and columns
+    property_report(g, 3)  # reads rows
     assert filed == [g]
     closure = generated_subgroupoid(g, ["a1", "a2"])
     assert closure.closed and set(closure.carrier) == set(g.elements)
@@ -304,7 +302,7 @@ def test_a_closure_on_an_unfiled_table_files_nothing_and_passes_over_it_once():
     object.__setattr__(g, "table", _CountingPasses(g.table, log))
     closure = generated_subgroupoid(g, ["a1", "a2"])
     assert closure.closed and set(closure.carrier) == set(g.elements)
-    assert "_filing" not in vars(g)
+    assert "_rows" not in vars(g)
     # one pass over the keys, then one lookup per composition, each pair once
     assert log[0] == "pass"
     assert sorted(log[1:]) == sorted(("get", x, y) for x, y in dict.keys(g.table))

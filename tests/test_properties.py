@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -245,8 +246,8 @@ _ENTRY_LAWS = (
 
 def _assert_triple_laws_match_oracle(g: FiniteGroupoid) -> dict:
     """A, CA and SA, and the laws whose scans read the defined entries (Rl,
-    Rr and R through the table's rows and columns, S, C and SC in the
-    table's insertion order), against the oracle; returns the first three."""
+    Rr and R on the same chain walk, S, C and SC in the table's insertion
+    order), against the oracle; returns the first three."""
     expected = first_violations(g)
     for p in _TRIPLE_LAWS + _ENTRY_LAWS:
         witness = expected[str(p)]
@@ -298,6 +299,73 @@ def test_triple_scan_matches_the_oracle_on_record_closures():
     assert sa_failed >= 5
 
 
+def _total_blocks(rng: random.Random, sizes) -> FiniteGroupoid:
+    """Idempotent blocks of the given sizes on a shuffled carrier: inside a
+    block every pair composes to a random member, across blocks none does."""
+    elements = [f"e{i}" for i in range(sum(sizes))]
+    table, start = {}, 0
+    for size in sizes:
+        block = elements[start:start + size]
+        start += size
+        for x, y in itertools.product(block, repeat=2):
+            table[(x, y)] = x if x == y else rng.choice(block)
+    return _scrambled(FiniteGroupoid(tuple(rng.sample(elements, len(elements))), table), rng)
+
+
+def _valued_in_total_rows(rng: random.Random, size: int, density: float) -> FiniteGroupoid:
+    """An idempotent table whose other values all lie among a few elements
+    with total rows, so every left grouping (p1 o p2) o p3 is defined and Rr
+    holds, while a sparse row can miss a value and fail Rl."""
+    g = random_groupoid(rng, size, density, idempotent=True)
+    tops = rng.sample(g.elements, rng.randint(1, 3))
+    table = {
+        (x, y): x if x == y else rng.choice(tops)
+        for x, y in itertools.product(g.elements, repeat=2)
+        if x in tops or (x, y) in g.table
+    }
+    return _scrambled(FiniteGroupoid(g.elements, table), rng)
+
+
+def test_chain_walk_matches_the_oracle_once_associativity_has_failed():
+    """Once A has failed the chain walk decides only R: it skips the pairs
+    whose chains all have both groupings defined, and once Rr has failed
+    too it stops each row after the p2 of Rl's least witness so far.  The
+    six chain laws against the oracle on seeded tables where A fails: total
+    tables and tables of total blocks, where R holds; dense tables of 20 to
+    40 elements on shuffled carriers, where the walk meets A's witness
+    before the chain of Rl's; and tables whose values have total rows, where
+    Rr holds and Rl fails."""
+    rng = random.Random(33)
+    total = [random_groupoid(rng, rng.randint(5, 14), 1.0, idempotent=True) for _ in range(20)]
+    blocks = [
+        _total_blocks(rng, [rng.randint(1, 6) for _ in range(rng.randint(2, 4))])
+        for _ in range(30)
+    ]
+    dense = []
+    for _ in range(40):
+        size = rng.randint(20, 40)
+        g = random_groupoid(rng, size, rng.uniform(0.7, 0.95), idempotent=True)
+        dense.append(_scrambled(FiniteGroupoid(tuple(rng.sample(g.elements, size)), g.table), rng))
+    valued = [_valued_in_total_rows(rng, rng.randint(6, 16), rng.uniform(0.1, 0.6)) for _ in range(40)]
+    seen = Counter()
+    for kind, tables in (("total", total), ("blocks", blocks), ("dense", dense), ("valued", valued)):
+        for g in tables:
+            _assert_triple_laws_match_oracle(g)
+            expected = first_violations(g)
+            a, rl, rr = expected["A"], expected["Rl"], expected["Rr"]
+            walked = [g.elements.index(e) for e in a or ()]
+            seen[kind, "A fails, R holds"] += a is not None and expected["R"] is None
+            seen[kind, "A fails before Rl"] += bool(a and rl) and walked < [
+                g.elements.index(e) for e in (rl[2], rl[0], rl[1])
+            ]
+            seen[kind, "Rr holds, Rl fails"] += rr is None and rl is not None
+            seen[kind, "and A fails"] += rr is None and rl is not None and a is not None
+    assert seen["total", "A fails, R holds"] == 20
+    assert seen["blocks", "A fails, R holds"] >= 25
+    assert seen["dense", "A fails before Rl"] >= 30
+    assert seen["valued", "Rr holds, Rl fails"] >= 35 and seen["valued", "and A fails"] >= 20
+
+
 def test_triple_scan_finds_strong_associativity_in_an_undefined_cell():
     # b b is undefined while b (b d) = b d = d: the first SA witness, though
     # the cell (b, d) before it is defined; b's row holds d and c, inserted
@@ -327,8 +395,8 @@ def _count_filings(monkeypatch) -> list:
     """Patch the filing of every table; returns the list of the tables
     filed, in filing order."""
     filed = []
-    original = FiniteGroupoid._filing.func
-    monkeypatch.setattr(FiniteGroupoid._filing, "func", lambda g: filed.append(g) or original(g))
+    original = FiniteGroupoid._rows.func
+    monkeypatch.setattr(FiniteGroupoid._rows, "func", lambda g: filed.append(g) or original(g))
     return filed
 
 
@@ -422,10 +490,10 @@ def test_triple_scan_makes_two_lookups_per_defined_chain():
     # row once per chain, counts the rest off the filing, and makes no table
     # lookup (the cell loop it replaced made 2,548)
     g = _record_cluster_closure((1,), (1,), (2,), (1,), (3,))
-    rows, columns = g._filing
+    rows = g._rows
     chains = sum(len(rows[p2]) for row in rows.values() for p2 in row)
     tally = [0]
-    vars(g)["_filing"] = {x: _CountingLine(row, tally) for x, row in rows.items()}, columns
+    vars(g)["_rows"] = {x: _CountingLine(row, tally) for x, row in rows.items()}
     table = _counting(g)
     assert all(check_property(g, p).holds for p in _TRIPLE_LAWS)
     assert (len(g), len(table), chains) == (13, 61, 373)
@@ -433,8 +501,7 @@ def test_triple_scan_makes_two_lookups_per_defined_chain():
 
 
 def test_representativity_scan_makes_no_table_lookup():
-    # each law is a subset test of two operand sets built from the filing,
-    # and a failing line is walked against such a set too: R holds on the
+    # the chain walk reads both groupings off the filed rows: R holds on the
     # record closure, and Rl, Rr and R all fail on uchain
     tables = ((_record_cluster_closure((2, 1), (3,)), True), (builtin("uchain", 12), False))
     for g, holds in tables:
@@ -603,16 +670,15 @@ def test_word_idempotence_reads_only_the_rows_it_needs():
     g = FiniteGroupoid(elements, table)
     assert not check_property(g, P.STRONGLY_ASSOCIATIVE).holds
     read = []
-    rows, columns = g._filing
-    vars(g)["_filing"] = _CountingRows(rows, read), columns
+    vars(g)["_rows"] = _CountingRows(g._rows, read)
     assert _assert_nr_matches_oracle(g, 3) == ("a", "b")
     # the words of length 2 that start with a need a's row only
     assert read == ["a"]
 
 
 def test_a_property_report_builds_each_row_of_a_table_once(monkeypatch):
-    # a successor chain with loops: I holds and SA fails, so the triple
-    # scan, the representativity scan and NR all read rows of the one table
+    # a successor chain with loops: I holds and SA fails, so the chain
+    # walk and NR both read rows of the one table
     filed = _count_filings(monkeypatch)
     g = builtin("uchain", 12)
     property_report(g, 3)
@@ -627,7 +693,7 @@ def test_a_reported_table_is_freed_with_its_last_reference():
     try:
         g = builtin("uchain", 12)
         property_report(g, 3)
-        assert "_filing" in vars(g) and g._derived
+        assert "_rows" in vars(g) and g._derived
         freed = weakref.ref(g)
         del g
         assert freed() is None

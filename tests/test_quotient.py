@@ -14,6 +14,7 @@ from matchmerge import (
     HypothesesNotSatisfiedError,
     Property,
     Verdict,
+    builtin,
     check_homomorphism,
     check_property,
     class_semigroup_check,
@@ -136,6 +137,17 @@ def test_quotient_of_left_band_is_a_point(leftzero2):
 def test_quotient_of_bounded_max_is_the_same_groupoid(max10):
     q = quotient(max10)
     assert q.groupoid == max10
+
+
+def test_a_discrete_partition_quotients_to_its_source():
+    # every class of maxnat:4 is a singleton: the quotient is the table
+    # itself, not a rebuilt copy, so it is its own quotient
+    g = builtin("maxnat", 4)
+    q = quotient(g)
+    assert q.groupoid is g
+    assert q.projection.mapping == {e: e for e in g.elements}
+    assert quotient(q.groupoid) is q
+    assert quotient_idempotence_check(g) == Verdict(True, detail="second quotient is the identity")
 
 
 def test_quotient_projection_is_surjective():
