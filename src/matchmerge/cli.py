@@ -269,7 +269,7 @@ def _cmd_er(args, loaded):
     if method == "rswoosh":
         # a table input is resolved over its closure, and ICAR is checked there
         host = loaded.host if loaded.records else closure.groupoid
-        result = resolution.r_swoosh(host, members, budget)
+        result = resolution.r_swoosh(host, members)
     else:
         result = getattr(resolution, f"er_{method}")(closure)
 

@@ -61,7 +61,7 @@ class HypothesesNotSatisfiedError(MatchMergeError):
 
 
 class BudgetExhaustedError(MatchMergeError):
-    """A closure or merge budget ran out; carries the partial result if any."""
+    """A closure ran out of budget; carries the partial result if any."""
 
     def __init__(self, message, result=None):
         super().__init__(message)

@@ -458,20 +458,21 @@ def _subset_product(
 
 
 def irreducible_generating_set(
-    groupoid: FiniteGroupoid,
-    generators: Iterable[ElementId],
-    budget: Budget = Budget(),
+    groupoid: FiniteGroupoid, generators: Iterable[ElementId]
 ) -> tuple[ElementId, ...]:
     """Shrink ``generators`` to a subset that still generates the carrier but
     has no generating proper subset.
 
     Greedy removal in carrier order, so the result is deterministic; any
-    irreducible subset would be acceptable.
+    irreducible subset would be acceptable.  ``Budget(n, n)`` on n elements
+    always suffices: a closure in the table stays in its carrier, starts
+    non-empty and grows in every round but its last.
     """
     seen = set(groupoid.require_all(generators))
     ordered = [e for e in groupoid.elements if e in seen]
     if not ordered:
         raise ValueError("generator set must be non-empty")
+    budget = Budget(len(groupoid), len(groupoid))
 
     def generates(candidate):
         result = generated_subgroupoid(groupoid, candidate, budget)
@@ -479,7 +480,7 @@ def irreducible_generating_set(
 
     if not generates(ordered):
         raise NotGeneratingSetError(
-            f"{tuple(ordered)!r} does not generate the carrier within budget"
+            f"{tuple(ordered)!r} does not generate the carrier"
         )
     current = list(ordered)
     for e in ordered:

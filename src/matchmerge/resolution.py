@@ -22,15 +22,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    BudgetExhaustedError,
-    HypothesesNotSatisfiedError,
-    IcarViolationError,
-    SizeGuardError,
-)
+from .errors import HypothesesNotSatisfiedError, IcarViolationError, SizeGuardError
 from .groupoid import (
     BlackBoxGroupoid,
-    Budget,
     ClosureResult,
     ElementId,
     FiniteGroupoid,
@@ -126,9 +120,7 @@ def er_maximal(closure: ClosureResult) -> ERResult:
 
 
 def r_swoosh(
-    groupoid: FiniteGroupoid | BlackBoxGroupoid,
-    instance: Iterable,
-    budget: Budget = Budget(),
+    groupoid: FiniteGroupoid | BlackBoxGroupoid, instance: Iterable
 ) -> ERResult:
     """Record-at-a-time worklist resolver.
 
@@ -144,8 +136,9 @@ def r_swoosh(
     Requires the idempotent/strongly-commutative/associative/representative
     package: verified on explicit groupoids, or declared by construction by
     the adapter.  A merge result that fails idempotent re-merge contradicts
-    the declaration and aborts with a witness.  ``budget.max_elements``
-    bounds the total number of merges.
+    the declaration and aborts with a witness.  No budget is needed: each
+    merge turns two live records (queued or resolved) into one, so ``|I|``
+    distinct members allow at most ``|I| - 1`` merges and ``2|I| - 1`` pops.
     """
     members = _keyed_members(groupoid, instance)
     if not members:
@@ -195,10 +188,6 @@ def r_swoosh(
             del index[f][number]
         merged = merge(record, buddy)
         merges += 1
-        if merges > budget.max_elements:
-            raise BudgetExhaustedError(
-                f"merge budget of {budget.max_elements} exhausted"
-            )
         mid = key(merged)
         if not match(merged, merged) or key(merge(merged, merged)) != mid:
             raise IcarViolationError(

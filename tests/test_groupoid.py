@@ -515,6 +515,14 @@ def test_irreducible_rejects_non_generating_set(p1):
         irreducible_generating_set(p1, ["a", "b"])
 
 
+def test_irreducible_set_of_a_chain_longer_than_the_default_round_cap():
+    # closing {a1, a2} takes 1,004 rounds, past the default of 1,000, yet
+    # the set generates the chain
+    elements = tuple(f"a{i}" for i in range(1, 1006))
+    g = FiniteGroupoid(elements, dict(zip(zip(elements, elements[1:]), elements[2:])))
+    assert irreducible_generating_set(g, ["a1", "a2", "a1005"]) == ("a1", "a2")
+
+
 def test_irreducible_rejects_an_empty_generator_set(p1):
     with pytest.raises(ValueError, match="generator set must be non-empty"):
         irreducible_generating_set(p1, [])

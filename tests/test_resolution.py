@@ -214,11 +214,11 @@ def _table_features(g):
     return lambda e: [e, *neighbours[e]]
 
 
-def _resolution(host, members, budget):
+def _resolution(host, members):
     """What ``r_swoosh`` resolves, or the error it stops with."""
     try:
-        return r_swoosh(host, members, budget)
-    except (BudgetExhaustedError, IcarViolationError) as error:
+        return r_swoosh(host, members)
+    except IcarViolationError as error:
         return type(error), str(error), getattr(error, "witness", None)
 
 
@@ -246,16 +246,15 @@ def test_feature_index_changes_no_closure_and_no_resolution():
             closure = merge_closure(indexed, members, budget)
             assert closure == merge_closure(plain, members, budget)
             statuses.add(closure.status)
-        for budget in (Budget(max_elements=100), Budget(max_elements=2)):
-            resolution = _resolution(indexed, members, budget)
-            assert resolution == _resolution(plain, members, budget)
-            outcomes.add(type(resolution) if isinstance(resolution, ERResult) else resolution[0])
+        resolution = _resolution(indexed, members)
+        assert resolution == _resolution(plain, members)
+        outcomes.add(type(resolution) if isinstance(resolution, ERResult) else resolution[0])
         # the index skips only pairs that do not match: the same matches,
         # in the same order
         assert [a for a in asked if a[2] is not None] == [a for a in asked_all if a[2] is not None]
         assert len(asked) <= len(asked_all)
     assert statuses == {"closed", "budget_exhausted"}
-    assert outcomes == {ERResult, BudgetExhaustedError, IcarViolationError}
+    assert outcomes == {ERResult, IcarViolationError}
 
 
 def _merge_without_interning(r1, r2):
@@ -299,8 +298,7 @@ def test_interned_merges_change_no_closure_and_no_resolution():
             closure = merge_closure(host, members, budget)
             assert closure == merge_closure(plain, members, budget)
             statuses.add(closure.status)
-        for budget in (Budget(max_elements=100), Budget(max_elements=2)):
-            assert _resolution(host, members, budget) == _resolution(plain, members, budget)
+        assert _resolution(host, members) == _resolution(plain, members)
     assert statuses == {"closed", "budget_exhausted"}
 
 
@@ -635,11 +633,30 @@ def test_rswoosh_aborts_on_lying_declaration():
         r_swoosh(bb, ["x", "y"])
 
 
-def test_rswoosh_merge_budget():
-    bb = record_groupoid(["name"])
-    records = [Record.of(name={"k"}, **{f"s{i}": {str(i)}}) for i in range(6)]
-    with pytest.raises(BudgetExhaustedError):
-        r_swoosh(bb, records, Budget(max_elements=2))
+def test_rswoosh_resolves_a_chain_of_more_records_than_the_default_budget():
+    # each record shares a name with the next: the chain merges into one
+    # record, in one merge fewer than it has records
+    records = [Record.of(name={f"k{i}", f"k{i + 1}"}, src={str(i)}) for i in range(10_003)]
+    result = r_swoosh(record_groupoid(["name"]), records)
+    assert len(result.resolved) == 1
+    assert result.certificate == "10002 merges"
+
+
+def test_rswoosh_merges_at_most_one_less_than_its_distinct_members():
+    # each merge turns two live records into one, whatever the rules do:
+    # random tables that declare ICAR, mostly falsely, and are idempotent on
+    # the diagonal so that no merge result is refused
+    rng = random.Random(21)
+    runs = [(record_groupoid(["name"]), random_record_instance(rng)) for _ in range(30)]
+    runs += [(record_groupoid(["name"]), clustered_records(rng, n)) for n in (6, 12, 24)]
+    for _ in range(200):
+        g = random_groupoid(rng, rng.randint(2, 8), rng.choice((0.2, 0.5, 0.9)), idempotent=True)
+        members = [rng.choice(g.elements) for _ in range(rng.randint(1, 12))]
+        runs.append((_as_blackbox(g, declares_icar=True), members))
+    for host, members in runs:
+        result = r_swoosh(host, members)
+        merges = int(result.certificate.removesuffix(" merges"))
+        assert merges <= len({host.key(m) for m in members}) - 1
 
 
 def test_rswoosh_on_finite_icar_groupoid(max10):
@@ -664,7 +681,7 @@ def test_all_methods_agree_on_randomized_record_instances(record_bb):
         expected = er_bruteforce(closure).as_set()
         assert er_maximal(closure).as_set() == expected
         assert er_full(closure).as_set() == expected
-        assert r_swoosh(record_bb, records, Budget(500, 100)).as_set() == expected
+        assert r_swoosh(record_bb, records).as_set() == expected
 
 
 def test_bruteforce_equals_maximal_on_i_ca_fixtures():
